@@ -71,6 +71,14 @@ class Client {
   // the table's dirty propagation and by local mutations.
   Funding Value() const;
 
+  // --- Owner back-link ------------------------------------------------------
+
+  // Opaque pointer to the record that owns this client (the scheduler's
+  // per-thread state), so a table notification that names only the client
+  // reaches its owner with one load. Null for unowned clients.
+  void set_owner_record(void* owner) { owner_record_ = owner; }
+  void* owner_record() const { return owner_record_; }
+
  private:
   friend class CurrencyTable;  // flips cache_valid_ from MarkClientDirty
 
@@ -81,6 +89,7 @@ class Client {
   CurrencyTable* table_;
   std::string name_;
   std::vector<Ticket*> tickets_;
+  void* owner_record_ = nullptr;
   bool active_ = false;
   int64_t comp_num_ = 1;
   int64_t comp_den_ = 1;

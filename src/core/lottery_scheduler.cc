@@ -48,8 +48,25 @@ LotteryScheduler::~LotteryScheduler() {
 }
 
 void LotteryScheduler::OnClientValueDirty(Client* client) {
-  dirty_clients_.insert(client);
+  // Unowned clients (a removed thread's, mid-teardown) have no weight to
+  // resync.
+  ThreadState* state = OwnerOf(client);
+  if (state != nullptr && state->dirty_pos == kNotDirty) {
+    state->dirty_pos = dirty_.size();
+    dirty_.push_back(state);
+  }
   NoteDisturbance();
+}
+
+void LotteryScheduler::ClearDirty(ThreadState& state) {
+  if (state.dirty_pos == kNotDirty) {
+    return;
+  }
+  ThreadState* last = dirty_.back();
+  dirty_[state.dirty_pos] = last;
+  last->dirty_pos = state.dirty_pos;
+  dirty_.pop_back();
+  state.dirty_pos = kNotDirty;
 }
 
 // --- Tree/alias queue dispatch ---------------------------------------------
@@ -138,13 +155,18 @@ void LotteryScheduler::FormBatch(uint64_t total) {
   batch_formed_->Inc();
 }
 
+LotteryScheduler::ThreadState* LotteryScheduler::FindState(
+    ThreadId id) const {
+  return id < by_tid_.size() ? by_tid_[id].get() : nullptr;
+}
+
 LotteryScheduler::ThreadState& LotteryScheduler::StateOf(ThreadId id) {
-  const auto it = threads_.find(id);
-  if (it == threads_.end()) {
+  ThreadState* state = FindState(id);
+  if (state == nullptr) {
     throw std::invalid_argument("LotteryScheduler: unknown thread " +
                                 std::to_string(id));
   }
-  return it->second;
+  return *state;
 }
 
 void LotteryScheduler::UpgradeListToTree() {
@@ -159,28 +181,30 @@ void LotteryScheduler::UpgradeListToTree() {
       continue;
     }
     run_queue_.Remove(client);
-    const auto it = by_client_.find(client);
-    if (it == by_client_.end()) {
+    ThreadState* state = OwnerOf(client);
+    if (state == nullptr) {
       continue;
     }
-    ThreadState& state = *it->second;
-    state.tree_slot = tree_queue_.Add(client->Value().raw_unsigned());
-    if (state.tree_slot >= tree_slot_owner_.size()) {
-      tree_slot_owner_.resize(state.tree_slot + 1, nullptr);
+    state->tree_slot = tree_queue_.Add(client->Value().raw_unsigned());
+    if (state->tree_slot >= tree_slot_owner_.size()) {
+      tree_slot_owner_.resize(state->tree_slot + 1, nullptr);
     }
-    tree_slot_owner_[state.tree_slot] = &state;
-    dirty_clients_.erase(client);
+    tree_slot_owner_[state->tree_slot] = state;
+    ClearDirty(*state);
   }
   list_upgrades_->Inc();
 }
 
 void LotteryScheduler::AddThread(ThreadId id, SimTime /*now*/) {
-  if (threads_.count(id) > 0) {
+  if (id == kInvalidThreadId) {
+    throw std::invalid_argument("LotteryScheduler::AddThread: invalid id");
+  }
+  if (FindState(id) != nullptr) {
     throw std::invalid_argument("LotteryScheduler::AddThread: duplicate id");
   }
   if (options_.backend == RunQueueBackend::kList &&
       options_.list_max_threads != 0 &&
-      threads_.size() >= options_.list_max_threads) {
+      num_threads_ >= options_.list_max_threads) {
     // The list's O(n) draw is ~280x the tree's at 10k clients
     // (bench_draw_overhead baselines); past the threshold it is a
     // misconfiguration, not a trade-off.
@@ -198,16 +222,20 @@ void LotteryScheduler::AddThread(ThreadId id, SimTime /*now*/) {
     util::SeqGuard guard(queue_seq_);
     UpgradeListToTree();
   }
-  ThreadState state;
-  state.id = id;
   const std::string tag = "thread:" + std::to_string(id);
+  auto owned = std::make_unique<ThreadState>(id, &table_, tag);
+  ThreadState& state = *owned;
+  // Linked before HoldTicket fires the first dirty notification.
+  state.client.set_owner_record(&state);
   state.currency = table_.CreateCurrency(tag);
-  state.client = std::make_unique<Client>(&table_, tag);
   state.self_ticket =
       table_.CreateTicket(state.currency, options_.thread_ticket_amount);
-  state.client->HoldTicket(state.self_ticket);
-  ThreadState& stored = threads_.emplace(id, std::move(state)).first->second;
-  by_client_[stored.client.get()] = &stored;
+  state.client.HoldTicket(state.self_ticket);
+  if (id >= by_tid_.size()) {
+    by_tid_.resize(static_cast<size_t>(id) + 1);
+  }
+  by_tid_[id] = std::move(owned);
+  ++num_threads_;
   LOT_DCHECK_TABLE(table_);
 }
 
@@ -215,7 +243,7 @@ void LotteryScheduler::RemoveThread(ThreadId id, SimTime /*now*/) {
   ThreadState& state = StateOf(id);
   if (state.in_queue) {
     if (options_.backend == RunQueueBackend::kList) {
-      run_queue_.Remove(state.client.get());
+      run_queue_.Remove(&state.client);
     } else {
       util::SeqGuard guard(queue_seq_);
       QueueRemove(state.tree_slot);
@@ -223,33 +251,34 @@ void LotteryScheduler::RemoveThread(ThreadId id, SimTime /*now*/) {
       NoteDisturbance();
     }
   }
-  state.client->SetActive(false);
-  by_client_.erase(state.client.get());
+  state.client.SetActive(false);
+  // Unlinked first: the notifications below (the self ticket's destruction,
+  // then the Client destructor releasing any remaining tickets) find no
+  // owner and so cannot put the dying record back on dirty_.
+  ClearDirty(state);
+  state.client.set_owner_record(nullptr);
   table_.DestroyTicket(state.self_ticket);
-  Client* dead = state.client.get();
-  state.client.reset();
-  // After reset: the Client destructor releases any remaining tickets,
-  // which re-notifies observers and can re-insert the pointer.
-  dirty_clients_.erase(dead);
+  Currency* currency = state.currency;
+  by_tid_[id].reset();
+  --num_threads_;
   // Destroys the thread currency and all tickets funding it. A thread that
   // dies with in-flight transfers (a crashed RPC client whose call is still
   // queued) leaves tickets issued in this currency in others' hands; the
   // currency is then retired — worth zero, reclaimed with its last issued
   // ticket — instead of destroyed outright.
-  table_.RetireCurrency(state.currency);
-  threads_.erase(id);
+  table_.RetireCurrency(currency);
   LOT_DCHECK_TABLE(table_);
 }
 
 void LotteryScheduler::OnReady(ThreadId id, SimTime /*now*/) {
   ThreadState& state = StateOf(id);
-  state.client->SetActive(true);
+  state.client.SetActive(true);
   if (!state.in_queue) {
     if (options_.backend == RunQueueBackend::kList) {
-      run_queue_.Add(state.client.get());
+      run_queue_.Add(&state.client);
     } else {
       util::SeqGuard guard(queue_seq_);
-      const uint64_t weight = state.client->Value().raw_unsigned();
+      const uint64_t weight = state.client.Value().raw_unsigned();
       state.tree_slot = QueueAdd(weight);
       if (state.tree_slot >= tree_slot_owner_.size()) {
         tree_slot_owner_.resize(state.tree_slot + 1, nullptr);
@@ -257,7 +286,7 @@ void LotteryScheduler::OnReady(ThreadId id, SimTime /*now*/) {
       tree_slot_owner_[state.tree_slot] = &state;
       // The slot was seeded with the current value; any pending dirty mark
       // (e.g. from the unblock activation above) is already folded in.
-      dirty_clients_.erase(state.client.get());
+      ClearDirty(state);
       if (restore_pending_ && state.tree_slot == restore_slot_ &&
           weight == restore_weight_) {
         // The previous winner re-entered at its old slot with its old
@@ -270,7 +299,7 @@ void LotteryScheduler::OnReady(ThreadId id, SimTime /*now*/) {
     }
     state.in_queue = true;
   }
-  LOT_ASSERT(state.in_queue && state.client->active(),
+  LOT_ASSERT(state.in_queue && state.client.active(),
              "OnReady left thread " + std::to_string(id) + " not competing");
 }
 
@@ -278,7 +307,7 @@ void LotteryScheduler::OnBlocked(ThreadId id, SimTime /*now*/) {
   ThreadState& state = StateOf(id);
   if (state.in_queue) {
     if (options_.backend == RunQueueBackend::kList) {
-      run_queue_.Remove(state.client.get());
+      run_queue_.Remove(&state.client);
     } else {
       util::SeqGuard guard(queue_seq_);
       QueueRemove(state.tree_slot);
@@ -287,16 +316,16 @@ void LotteryScheduler::OnBlocked(ThreadId id, SimTime /*now*/) {
     }
     state.in_queue = false;
   }
-  state.client->SetActive(false);
-  LOT_ASSERT(!state.in_queue && !state.client->active(),
+  state.client.SetActive(false);
+  LOT_ASSERT(!state.in_queue && !state.client.active(),
              "OnBlocked left thread " + std::to_string(id) + " competing");
 }
 
 void LotteryScheduler::SyncTreeWeights() {
-  if (dirty_clients_.empty()) {
+  if (dirty_.empty()) {
     return;
   }
-  if (dirty_clients_.size() > QueueSize()) {
+  if (dirty_.size() > QueueSize()) {
     // More dirty clients than queued slots: one bulk pass is cheaper than
     // per-client lookups (and covers the first sync after mass arrivals).
     full_syncs_->Inc();
@@ -304,38 +333,33 @@ void LotteryScheduler::SyncTreeWeights() {
       if (state == nullptr) {
         continue;
       }
-      QueueSetWeight(state->tree_slot,
-                     state->client->Value().raw_unsigned());
+      QueueSetWeight(state->tree_slot, state->client.Value().raw_unsigned());
     }
   } else {
-    // The weights are an order-independent fold, but client->Value() emits
-    // kReprice trace events on cache fills — flushing straight out of the
-    // pointer-hashed set would bake heap layout into the trace. Collect the
-    // queued survivors and flush in thread-id order so traces stay
-    // byte-identical run to run.
-    std::vector<ThreadState*> dirty;
-    dirty.reserve(dirty_clients_.size());
-    // lotlint: ordered-ok (collect only; applied in sorted order below)
-    for (Client* client : dirty_clients_) {
-      const auto it = by_client_.find(client);
-      if (it == by_client_.end()) {
-        continue;
+    // The weights are an order-independent fold, but client.Value() emits
+    // kReprice trace events on cache fills, and dirty_ is in mark order
+    // (perturbed by swap-removes). Collect the queued survivors and flush
+    // in thread-id order so the trace depends only on which threads are
+    // dirty.
+    flush_.clear();
+    for (ThreadState* state : dirty_) {
+      if (state->in_queue) {  // else OnReady seeds a fresh weight later
+        flush_.push_back(state);
       }
-      if (!it->second->in_queue) {
-        continue;  // not competing; OnReady seeds a fresh weight later
-      }
-      dirty.push_back(it->second);
     }
-    std::sort(dirty.begin(), dirty.end(),
+    std::sort(flush_.begin(), flush_.end(),
               [](const ThreadState* a, const ThreadState* b) {
                 return a->id < b->id;
               });
-    for (ThreadState* state : dirty) {
-      QueueSetWeight(state->tree_slot, state->client->Value().raw_unsigned());
+    for (ThreadState* state : flush_) {
+      QueueSetWeight(state->tree_slot, state->client.Value().raw_unsigned());
       leaf_updates_->Inc();
     }
   }
-  dirty_clients_.clear();
+  for (ThreadState* state : dirty_) {
+    state->dirty_pos = kNotDirty;
+  }
+  dirty_.clear();
 }
 
 ThreadId LotteryScheduler::PickNextFromTree() {
@@ -505,7 +529,7 @@ ThreadId LotteryScheduler::PickNextFromTree() {
   restore_pending_ = true;
   restore_slot_ = winner->tree_slot;
   restore_weight_ = removed_weight;
-  compensation_.OnQuantumStart(winner->client.get());
+  compensation_.OnQuantumStart(&winner->client);
   if (timed) {
     const auto t2 = std::chrono::steady_clock::now();  // lotlint: wallclock-ok
     tree_draw_ns_->Record(static_cast<uint64_t>(
@@ -536,10 +560,10 @@ ThreadId LotteryScheduler::PickNext(SimTime now) {
       if (candidate == nullptr) {
         continue;
       }
-      const auto cit = by_client_.find(candidate);
+      const ThreadState* owner = OwnerOf(candidate);
       etrace::Event e;
       e.t_ns = options_.trace->now();
-      e.a = cit != by_client_.end() ? cit->second->id : kInvalidThreadId;
+      e.a = owner != nullptr ? owner->id : kInvalidThreadId;
       e.b = index++;
       e.v1 = candidate->Value().raw_unsigned();
       e.type = static_cast<uint16_t>(etrace::EventType::kCandidate);
@@ -570,33 +594,32 @@ ThreadId LotteryScheduler::PickNext(SimTime now) {
     e.v3 = winner->Value().raw_unsigned();
     e.flags = fallback ? etrace::kDecisionFallback : uint16_t{0};
     e.type = static_cast<uint16_t>(etrace::EventType::kDecision);
-    const auto wit = by_client_.find(winner);
-    e.a = wit != by_client_.end() ? wit->second->id : kInvalidThreadId;
+    const ThreadState* owner = OwnerOf(winner);
+    e.a = owner != nullptr ? owner->id : kInvalidThreadId;
     options_.trace->Append(e);
   }
   run_queue_.Remove(winner);
-  const auto it = by_client_.find(winner);
-  if (it == by_client_.end()) {
+  ThreadState* owner = OwnerOf(winner);
+  if (owner == nullptr) {
     throw std::logic_error("LotteryScheduler::PickNext: orphan client");
   }
-  ThreadState& state = *it->second;
-  state.in_queue = false;
+  owner->in_queue = false;
   // The thread starts its next quantum: any compensation ticket expires
   // (Section 4.5). Its tickets stay active while it runs.
   compensation_.OnQuantumStart(winner);
   LOT_ASSERT(!winner->has_compensation(),
              "quantum start left a live compensation factor on " +
                  winner->name());
-  return state.id;
+  return owner->id;
 }
 
 void LotteryScheduler::OnQuantumEnd(ThreadId id, SimDuration used,
                                     SimDuration quantum, SimTime /*now*/) {
   ThreadState& state = StateOf(id);
-  if (compensation_.OnQuantumEnd(state.client.get(), used, quantum)) {
+  if (compensation_.OnQuantumEnd(&state.client, used, quantum)) {
     compensation_grants_->Inc();
   }
-  LOT_DCHECK_COMPENSATION(*state.client, options_.compensation.max_factor);
+  LOT_DCHECK_COMPENSATION(state.client, options_.compensation.max_factor);
 }
 
 void LotteryScheduler::SetTrace(etrace::TraceBuffer* trace) {
@@ -608,9 +631,7 @@ Currency* LotteryScheduler::thread_currency(ThreadId id) {
   return StateOf(id).currency;
 }
 
-Client* LotteryScheduler::client(ThreadId id) {
-  return StateOf(id).client.get();
-}
+Client* LotteryScheduler::client(ThreadId id) { return &StateOf(id).client; }
 
 Ticket* LotteryScheduler::FundThread(ThreadId id, Currency* denomination,
                                      int64_t amount,
@@ -623,15 +644,15 @@ Ticket* LotteryScheduler::FundThread(ThreadId id, Currency* denomination,
 }
 
 Funding LotteryScheduler::ThreadValue(ThreadId id) {
-  return StateOf(id).client->Value();
+  return StateOf(id).client.Value();
 }
 
 Funding LotteryScheduler::ThreadBaseValue(ThreadId id) {
-  const auto it = threads_.find(id);
-  if (it == threads_.end()) {
+  const ThreadState* state = FindState(id);
+  if (state == nullptr) {
     return Funding::Zero();
   }
-  const Client& client = *it->second.client;
+  const Client& client = state->client;
   Funding value = client.Value();
   if (client.has_compensation()) {
     // Value() carries the compensation boost num/den; divide it back out.
@@ -641,12 +662,12 @@ Funding LotteryScheduler::ThreadBaseValue(ThreadId id) {
 }
 
 bool LotteryScheduler::HasThread(ThreadId id) const {
-  return threads_.find(id) != threads_.end();
+  return FindState(id) != nullptr;
 }
 
 bool LotteryScheduler::IsQueued(ThreadId id) const {
-  const auto it = threads_.find(id);
-  return it != threads_.end() && it->second.in_queue;
+  const ThreadState* state = FindState(id);
+  return state != nullptr && state->in_queue;
 }
 
 size_t LotteryScheduler::QueuedCount() const {
@@ -670,11 +691,11 @@ std::vector<std::pair<ThreadId, uint64_t>> LotteryScheduler::QueuedSnapshot() {
   std::vector<std::pair<ThreadId, uint64_t>> out;
   if (options_.backend == RunQueueBackend::kList) {
     for (Client* client : run_queue_.ClientsInOrder()) {
-      const auto it = by_client_.find(client);
-      if (it == by_client_.end()) {
+      const ThreadState* state = OwnerOf(client);
+      if (state == nullptr) {
         continue;
       }
-      out.emplace_back(it->second->id, client->Value().raw_unsigned());
+      out.emplace_back(state->id, client->Value().raw_unsigned());
     }
     return out;
   }

@@ -16,8 +16,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -171,13 +169,20 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   void NoteTransfer() { transfers_->Inc(); }
 
  private:
+  // Sentinel ThreadState::dirty_pos for a record not on dirty_.
+  static constexpr size_t kNotDirty = static_cast<size_t>(-1);
+
   struct ThreadState {
-    ThreadId id = kInvalidThreadId;
-    std::unique_ptr<Client> client;
+    ThreadState(ThreadId tid, CurrencyTable* table, std::string tag)
+        : id(tid), client(table, std::move(tag)) {}
+    ThreadId id;
+    Client client;
     Currency* currency = nullptr;
     Ticket* self_ticket = nullptr;
     bool in_queue = false;
     size_t tree_slot = 0;  // valid while in_queue under tree/alias backends
+    // Index into dirty_, or kNotDirty (tree/alias backends only).
+    size_t dirty_pos = kNotDirty;
   };
 
   // One speculatively pre-drawn winner. pre_state/post_state bracket the
@@ -197,7 +202,16 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // churn-heavy phases never pay speculative descents they'd just flush.
   static constexpr uint32_t kBatchStreakMin = 4;
 
+  // Directory lookup; nullptr for ids never added or already removed.
+  ThreadState* FindState(ThreadId id) const;
+  // As FindState, but throws std::invalid_argument for unknown ids.
   ThreadState& StateOf(ThreadId id);
+  // The record owning `client`; nullptr for clients no thread owns.
+  static ThreadState* OwnerOf(const Client* client) {
+    return static_cast<ThreadState*>(client->owner_record());
+  }
+  // Takes a record off dirty_ (O(1) swap-remove); no-op when clean.
+  void ClearDirty(ThreadState& state);
   // Tree/alias backends: re-push into the partial-sum weights the values of
   // exactly the clients the currency table reported dirty since the last
   // sync — O(dirty · lg n) instead of O(n · lg n) per dispatch. Falls back
@@ -245,14 +259,21 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   TreeLottery tree_queue_ GUARDED_BY(queue_seq_);
   AliasLottery alias_queue_ GUARDED_BY(queue_seq_);
   // Slot -> owning thread state, nullptr for free slots. Slots are small
-  // dense indices recycled by TreeLottery, and unordered_map nodes give
-  // ThreadState a stable address, so a flat vector of pointers makes winner
-  // resolution a single indexed load (a hash map here shows up at 10k
-  // clients in bench_draw_overhead's churn rig).
+  // dense indices recycled by TreeLottery, and each ThreadState is its own
+  // allocation with a stable address, so a flat vector of pointers makes
+  // winner resolution a single indexed load (a hash map here shows up at
+  // 10k clients in bench_draw_overhead's churn rig).
   std::vector<ThreadState*> tree_slot_owner_ GUARDED_BY(queue_seq_);
-  std::unordered_set<Client*> dirty_clients_;
-  std::unordered_map<ThreadId, ThreadState> threads_;
-  std::unordered_map<const Client*, ThreadState*> by_client_;
+  // ThreadId -> record. Kernel tids are dense from 1, so the directory costs
+  // one pointer per id up to the largest id added.
+  std::vector<std::unique_ptr<ThreadState>> by_tid_;
+  size_t num_threads_ = 0;
+  // Tree/alias backends: the records whose client the currency table has
+  // reported dirty since the last sync, each listed once (dirty_pos is the
+  // membership flag). Its size is the dirty count behind the full-sync
+  // threshold. flush_ is SyncTreeWeights' scratch for the id-sorted flush.
+  std::vector<ThreadState*> dirty_;
+  std::vector<ThreadState*> flush_;
   uint64_t num_lotteries_ = 0;
   uint64_t num_zero_fallbacks_ = 0;
   uint64_t timing_tick_ = 0;

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/core/client.h"
 #include "src/obs/etrace/trace_buffer.h"
@@ -70,26 +71,31 @@ SmpScheduler::SmpScheduler(Options options)
 
 SmpScheduler::~SmpScheduler() = default;
 
-SmpScheduler::ThreadRec& SmpScheduler::RecOf(ThreadId id) {
-  const auto it = recs_.find(id);
-  if (it == recs_.end()) {
-    throw std::invalid_argument("SmpScheduler: unknown thread " +
-                                std::to_string(id));
+const SmpScheduler::ThreadRec* SmpScheduler::FindRec(ThreadId id) const {
+  if (id >= by_tid_.size() || !by_tid_[id].has_value()) {
+    return nullptr;
   }
-  return it->second;
+  return &*by_tid_[id];
 }
 
 const SmpScheduler::ThreadRec& SmpScheduler::RecOf(ThreadId id) const {
-  const auto it = recs_.find(id);
-  if (it == recs_.end()) {
+  const ThreadRec* rec = FindRec(id);
+  if (rec == nullptr) {
     throw std::invalid_argument("SmpScheduler: unknown thread " +
                                 std::to_string(id));
   }
-  return it->second;
+  return *rec;
+}
+
+SmpScheduler::ThreadRec& SmpScheduler::RecOf(ThreadId id) {
+  return const_cast<ThreadRec&>(std::as_const(*this).RecOf(id));
 }
 
 void SmpScheduler::AddThread(ThreadId id, SimTime now) {
-  if (recs_.count(id) > 0) {
+  if (id == kInvalidThreadId) {
+    throw std::invalid_argument("SmpScheduler::AddThread: invalid id");
+  }
+  if (FindRec(id) != nullptr) {
     throw std::invalid_argument("SmpScheduler::AddThread: duplicate id");
   }
   // Round-robin spawn placement: deterministic and already value-balanced
@@ -97,9 +103,10 @@ void SmpScheduler::AddThread(ThreadId id, SimTime now) {
   const int home = next_home_;
   next_home_ = (next_home_ + 1) % options_.num_cpus;
   cpus_[static_cast<size_t>(home)]->AddThread(id, now);
-  ThreadRec rec;
-  rec.home = home;
-  recs_.emplace(id, std::move(rec));
+  if (id >= by_tid_.size()) {
+    by_tid_.resize(static_cast<size_t>(id) + 1);
+  }
+  by_tid_[id].emplace().home = home;
 }
 
 void SmpScheduler::ClearRunning(ThreadRec& rec) {
@@ -114,7 +121,7 @@ void SmpScheduler::RemoveThread(ThreadId id, SimTime now) {
   ThreadRec& rec = RecOf(id);
   cpus_[static_cast<size_t>(rec.home)]->RemoveThread(id, now);
   ClearRunning(rec);
-  recs_.erase(id);
+  by_tid_[id].reset();
 }
 
 void SmpScheduler::OnReady(ThreadId id, SimTime now) {
@@ -188,11 +195,11 @@ int64_t SmpScheduler::FundedAmount(ThreadId id) const {
 int SmpScheduler::HomeCpu(ThreadId id) const { return RecOf(id).home; }
 
 Funding SmpScheduler::ThreadBaseValue(ThreadId id) {
-  const auto it = recs_.find(id);
-  if (it == recs_.end()) {
+  const ThreadRec* rec = FindRec(id);
+  if (rec == nullptr) {
     return Funding::Zero();
   }
-  return cpus_[static_cast<size_t>(it->second.home)]->ThreadBaseValue(id);
+  return cpus_[static_cast<size_t>(rec->home)]->ThreadBaseValue(id);
 }
 
 uint64_t SmpScheduler::ThreadMigrations(ThreadId id) const {
@@ -467,7 +474,11 @@ void SmpScheduler::Migrate(ThreadId id, int dst, SimTime now) {
 }
 
 void SmpScheduler::CheckIntegrity() const {
-  for (const auto& [tid, rec] : recs_) {
+  for (ThreadId tid = 0; tid < by_tid_.size(); ++tid) {
+    if (!by_tid_[tid].has_value()) {
+      continue;
+    }
+    const ThreadRec& rec = *by_tid_[tid];
     if (rec.home < 0 || rec.home >= options_.num_cpus) {
       throw std::logic_error("SmpScheduler: thread homed out of range");
     }
@@ -496,9 +507,8 @@ void SmpScheduler::CheckIntegrity() const {
     if (tid == kInvalidThreadId) {
       continue;
     }
-    const auto it = recs_.find(tid);
-    if (it == recs_.end() || !it->second.running ||
-        it->second.running_cpu != c) {
+    const ThreadRec* rec = FindRec(tid);
+    if (rec == nullptr || !rec->running || rec->running_cpu != c) {
       throw std::logic_error("SmpScheduler: running-thread map out of sync");
     }
   }

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -138,6 +139,9 @@ class SmpScheduler : public Scheduler {
     uint64_t migrations = 0;
   };
 
+  // Directory lookup; nullptr for ids never added or already removed.
+  const ThreadRec* FindRec(ThreadId id) const;
+  // As FindRec, but throws std::invalid_argument for unknown ids.
   ThreadRec& RecOf(ThreadId id);
   const ThreadRec& RecOf(ThreadId id) const;
   // Drops a thread's running claim on its CPU (requeue/block/removal).
@@ -181,9 +185,9 @@ class SmpScheduler : public Scheduler {
   FastRand xbar_rng_;     // lotlint: stream(device)
   CrossbarSwitch xbar_;
   std::map<std::pair<int, int>, CrossbarSwitch::CircuitId> circuits_;
-  // ThreadId -> record. std::map: scheduler-path iteration must be ordered
-  // (lotlint D2) and CheckIntegrity walks it.
-  std::map<ThreadId, ThreadRec> recs_;
+  // ThreadId -> record, indexed by tid (kernel tids are dense from 1), so
+  // CheckIntegrity's walk is in tid order.
+  std::vector<std::optional<ThreadRec>> by_tid_;
   std::vector<ThreadId> running_tid_;        // per CPU, kInvalid when none
   std::vector<uint32_t> since_balance_;      // dispatches since last check
   int next_home_ = 0;                        // round-robin spawn placement

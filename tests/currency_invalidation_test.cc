@@ -597,5 +597,157 @@ TEST(TreeBackendSteadyState, InflationOnQueuedThreadUpdatesOneLeaf) {
   EXPECT_EQ(reg.counter("tree.full_syncs")->value(), 0u);
 }
 
+// --- Scheduler dirty list: edge cases -------------------------------------
+//
+// Block/wake, compensation grant and expiry, and removal of threads while
+// they are dirty and while tickets issued in or held by them are still
+// live. Removal re-notifies the table twice (the self ticket's
+// destruction, then the Client destructor releasing held tickets), and
+// neither may leave an entry behind for the next sync to dereference —
+// the sanitizer build turns that into a use-after-free report. The
+// full-sync and leaf-update counts are pinned: they depend on the exact
+// dirty count (unique clients, blocked ones included).
+
+struct DirtyListCase {
+  RunQueueBackend backend;
+  uint64_t full_syncs;
+  uint64_t leaf_updates;
+};
+
+class DirtyListEdgeCases : public ::testing::TestWithParam<DirtyListCase> {
+ protected:
+  // One kernel dispatch cycle: pick, run `used` of a 100 ms quantum, requeue.
+  static ThreadId Dispatch(LotteryScheduler& sched, SimDuration used) {
+    const SimTime t0 = SimTime::Zero();
+    const ThreadId id = sched.PickNext(t0);
+    if (id != kInvalidThreadId) {
+      sched.OnQuantumEnd(id, used, SimDuration::Millis(100), t0);
+      sched.OnReady(id, t0);
+    }
+    return id;
+  }
+};
+
+TEST_P(DirtyListEdgeCases, ChurnAndRemovalLeaveNoStaleEntries) {
+  if (!obs::kObsEnabled) {
+    GTEST_SKIP() << "obs hooks compiled out";
+  }
+  obs::Registry reg;
+  LotteryScheduler::Options opts;
+  opts.backend = GetParam().backend;
+  opts.metrics = &reg;
+  opts.seed = 1994;
+  LotteryScheduler sched(opts);
+  CurrencyTable& table = sched.table();
+  const SimTime t0 = SimTime::Zero();
+  const SimDuration full = SimDuration::Millis(100);
+  // Threads 1-4 hold base funding; 5 and up share a user currency, so one
+  // of them blocking reprices (dirties) all the others.
+  Currency* user = table.CreateCurrency("user");
+  Ticket* user_backing = table.CreateTicket(table.base(), 1200);
+  table.Fund(user, user_backing);
+  auto add = [&](ThreadId id) {
+    sched.AddThread(id, t0);
+    sched.FundThread(id, id <= 4 ? table.base() : user, 100 * int64_t(id));
+  };
+  for (ThreadId id = 1; id <= 8; ++id) {
+    add(id);
+    sched.OnReady(id, t0);
+  }
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_NE(Dispatch(sched, full), kInvalidThreadId);
+  }
+
+  // Block and wake: blocked clients count as dirty while out of the
+  // queue, and an inflation reaches blocked and queued user threads alike —
+  // here more of them than are queued, which forces a full sync.
+  const ThreadId blocked[] = {3, 5, 6, 7};
+  for (const ThreadId id : blocked) {
+    sched.OnBlocked(id, t0);
+  }
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_NE(Dispatch(sched, full), kInvalidThreadId);
+  }
+  table.SetAmount(user_backing, 2400);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_NE(Dispatch(sched, full), kInvalidThreadId);
+  }
+  for (const ThreadId id : blocked) {
+    sched.OnReady(id, t0);
+  }
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_NE(Dispatch(sched, full), kInvalidThreadId);
+  }
+
+  // Compensation: every under-consumed quantum grants a ticket that expires
+  // when the thread next starts a quantum.
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_NE(Dispatch(sched, SimDuration::Millis(25)), kInvalidThreadId);
+  }
+
+  // Just-added threads count as dirty before they are ever queued.
+  for (ThreadId id = 9; id <= 14; ++id) {
+    add(id);
+  }
+  sched.OnBlocked(1, t0);
+  sched.OnBlocked(8, t0);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_NE(Dispatch(sched, full), kInvalidThreadId);
+  }
+  sched.OnReady(1, t0);
+  sched.OnReady(8, t0);
+  for (ThreadId id = 9; id <= 14; ++id) {
+    sched.OnReady(id, t0);
+  }
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_NE(Dispatch(sched, full), kInvalidThreadId);
+  }
+
+  // Thread 2 blocks on an RPC to thread 6, funding it by transfer; thread 4
+  // takes direct hold of an extra ticket.
+  TicketTransfer rpc(&table, sched.thread_currency(2),
+                     sched.thread_currency(6), 100);
+  sched.OnBlocked(2, t0);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_NE(Dispatch(sched, full), kInvalidThreadId);
+  }
+  Ticket* held = table.CreateTicket(table.base(), 70);
+  sched.client(4)->HoldTicket(held);
+
+  // Both die dirty: 2 with its transfer still funding 6, 4 still holding
+  // the extra ticket.
+  sched.RemoveThread(2, t0);
+  sched.RemoveThread(4, t0);
+  EXPECT_FALSE(sched.HasThread(2));
+  EXPECT_FALSE(sched.HasThread(4));
+  for (int i = 0; i < 8; ++i) {
+    const ThreadId id =
+        Dispatch(sched, i % 2 == 0 ? full : SimDuration::Millis(40));
+    ASSERT_NE(id, kInvalidThreadId);
+    EXPECT_NE(id, 2u);
+    EXPECT_NE(id, 4u);
+  }
+  rpc.Release();
+  table.DestroyTicket(held);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_NE(Dispatch(sched, full), kInvalidThreadId);
+  }
+
+  EXPECT_EQ(reg.counter("tree.full_syncs")->value(), GetParam().full_syncs);
+  EXPECT_EQ(reg.counter("tree.leaf_updates")->value(),
+            GetParam().leaf_updates);
+}
+
+// Counts recorded while the scheduler kept its dirty set as a hash set of
+// clients.
+INSTANTIATE_TEST_SUITE_P(
+    Backends, DirtyListEdgeCases,
+    ::testing::Values(DirtyListCase{RunQueueBackend::kTree, 2, 19},
+                      DirtyListCase{RunQueueBackend::kAlias, 2, 19}),
+    [](const auto& param_info) {
+      return param_info.param.backend == RunQueueBackend::kTree ? "tree"
+                                                                : "alias";
+    });
+
 }  // namespace
 }  // namespace lottery

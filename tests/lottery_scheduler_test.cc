@@ -136,6 +136,45 @@ TEST(LotteryScheduler, RemoveThreadCleansUpCurrencyGraph) {
   EXPECT_THROW(sched.client(1), std::invalid_argument);
 }
 
+// The thread directory is indexed by id: the invalid-id sentinel must be
+// refused outright (never sized to), a sparse id must work alone, and an id
+// must be reusable once its thread is removed — on every backend.
+TEST(LotteryScheduler, ThreadIdsAreValidatedAndReusable) {
+  for (const RunQueueBackend backend :
+       {RunQueueBackend::kList, RunQueueBackend::kTree,
+        RunQueueBackend::kAlias}) {
+    LotteryScheduler::Options opts;
+    opts.backend = backend;
+    LotteryScheduler sched(opts);
+    EXPECT_THROW(sched.AddThread(kInvalidThreadId, kT0),
+                 std::invalid_argument);
+    EXPECT_FALSE(sched.HasThread(kInvalidThreadId));
+
+    sched.AddThread(70000, kT0);
+    EXPECT_TRUE(sched.HasThread(70000));
+    EXPECT_FALSE(sched.HasThread(69999));
+    EXPECT_FALSE(sched.HasThread(70001));
+    EXPECT_THROW(sched.OnReady(69999, kT0), std::invalid_argument);
+    EXPECT_THROW(sched.OnReady(70001, kT0), std::invalid_argument);
+    sched.FundThread(70000, sched.table().base(), 100);
+    sched.OnReady(70000, kT0);
+    EXPECT_EQ(sched.PickNext(kT0), 70000u);
+
+    sched.AddThread(1, kT0);
+    sched.FundThread(1, sched.table().base(), 100);
+    sched.OnReady(1, kT0);
+    sched.RemoveThread(1, kT0);
+    EXPECT_FALSE(sched.HasThread(1));
+    EXPECT_THROW(sched.RemoveThread(1, kT0), std::invalid_argument);
+    sched.AddThread(1, kT0);
+    EXPECT_EQ(sched.thread_currency(1)->name(), "thread:1");
+    sched.FundThread(1, sched.table().base(), 100);
+    sched.OnReady(1, kT0);
+    EXPECT_EQ(sched.PickNext(kT0), 1u);
+    EXPECT_EQ(sched.PickNext(kT0), kInvalidThreadId);
+  }
+}
+
 TEST(LotteryScheduler, HierarchicalFundingIsProportional) {
   // Two users with 2:1 base funding; each runs one thread.
   LotteryScheduler::Options opts;

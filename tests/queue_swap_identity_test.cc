@@ -9,10 +9,15 @@
 // etrace). Any queue change that reorders even one event — a lost FIFO
 // tiebreak, a quantization error in the wheel, a cancel delivered late —
 // shifts a wake or slice event and changes the hash.
+//
+// The scenario runs on every run-queue backend. Under kTree and kAlias the
+// trace also carries the kReprice events of the scheduler's dirty-weight
+// flush, so those goldens pin its thread-id order as well.
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -53,13 +58,19 @@ class SleeperBody : public ThreadBody {
   SimDuration nap_;
 };
 
-TEST(QueueSwapIdentity, Fig5StyleTraceBytesMatchHeapGolden) {
+class QueueSwapIdentity
+    : public ::testing::TestWithParam<std::tuple<RunQueueBackend, uint64_t>> {
+};
+
+TEST_P(QueueSwapIdentity, Fig5StyleTraceBytesMatchHeapGolden) {
+  const auto [backend, golden_hash] = GetParam();
   obs::Registry registry;
   etrace::TraceBuffer trace;
   trace.set_seed(42);
 
   LotteryScheduler::Options sopts;
   sopts.seed = 42;
+  sopts.backend = backend;
   sopts.metrics = &registry;
   sopts.trace = &trace;
   LotteryScheduler scheduler(sopts);
@@ -88,17 +99,34 @@ TEST(QueueSwapIdentity, Fig5StyleTraceBytesMatchHeapGolden) {
   kernel.RunFor(SimDuration::Seconds(30));
 
   const std::string bytes = trace.Serialize();
-  // Recorded from the pre-wheel binary-heap EventQueue at seed 42. If this
-  // fails after an intentional *scheduling* change, re-derive it; if it
-  // fails after an event-queue change, the queue broke determinism.
-  // (Re-derived when kCatTimeseries joined the category mask: the serialized
-  // header embeds kDefaultCategories, and the event stream itself was
-  // verified unchanged — same 1159 events.)
-  const uint64_t kHeapGoldenHash = 0x5dd2d12814016d95ull;
-  EXPECT_EQ(Fnv1a(bytes), kHeapGoldenHash)
+  EXPECT_EQ(Fnv1a(bytes), golden_hash)
       << "trace hash 0x" << std::hex << Fnv1a(bytes) << " (" << std::dec
       << trace.size() << " events)";
 }
+
+// If a golden fails after an intentional *scheduling* change, re-derive it;
+// if it fails after an event-queue or scheduler-bookkeeping change, that
+// change broke determinism.
+INSTANTIATE_TEST_SUITE_P(
+    Backends, QueueSwapIdentity,
+    ::testing::Values(
+        // Recorded from the pre-wheel binary-heap EventQueue at seed 42.
+        // (Re-derived when kCatTimeseries joined the category mask: the
+        // serialized header embeds kDefaultCategories, and the event stream
+        // itself was verified unchanged — same 1159 events.)
+        std::make_tuple(RunQueueBackend::kList, 0x5dd2d12814016d95ull),
+        // Recorded while the scheduler still kept its thread records and
+        // dirty set in hash containers.
+        std::make_tuple(RunQueueBackend::kTree, 0x928f54b7bed88048ull),
+        std::make_tuple(RunQueueBackend::kAlias, 0x928f54b7bed88048ull)),
+    [](const auto& param_info) {
+      switch (std::get<0>(param_info.param)) {
+        case RunQueueBackend::kList: return "list";
+        case RunQueueBackend::kTree: return "tree";
+        case RunQueueBackend::kAlias: return "alias";
+      }
+      return "unknown";
+    });
 
 }  // namespace
 }  // namespace lottery

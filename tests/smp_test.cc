@@ -248,6 +248,36 @@ smp::SmpScheduler::Options PartOpts(int cpus, uint32_t seed,
   return o;
 }
 
+// The facade's record table is indexed by id, like the per-CPU
+// schedulers' directories behind it.
+TEST(SmpPartitioned, ThreadIdsAreValidatedAndReusable) {
+  obs::Registry reg;
+  smp::SmpScheduler sched(PartOpts(2, 7, &reg));
+  const SimTime t0 = SimTime::Zero();
+  EXPECT_THROW(sched.AddThread(kInvalidThreadId, t0), std::invalid_argument);
+
+  sched.AddThread(70000, t0);
+  EXPECT_EQ(sched.HomeCpu(70000), 0);
+  EXPECT_THROW(sched.HomeCpu(69999), std::invalid_argument);
+  EXPECT_THROW(sched.OnReady(70001, t0), std::invalid_argument);
+  EXPECT_EQ(sched.ThreadBaseValue(69999), Funding::Zero());
+  sched.FundThread(70000, 100);
+  sched.OnReady(70000, t0);
+  EXPECT_EQ(sched.PickNextOnCpu(0, t0), 70000u);
+  sched.CheckIntegrity();
+
+  sched.AddThread(1, t0);  // homed on CPU 1
+  sched.FundThread(1, 250);
+  sched.RemoveThread(1, t0);
+  EXPECT_THROW(sched.HomeCpu(1), std::invalid_argument);
+  EXPECT_THROW(sched.RemoveThread(1, t0), std::invalid_argument);
+  sched.AddThread(1, t0);  // round-robin placement: back on CPU 0
+  EXPECT_EQ(sched.HomeCpu(1), 0);
+  EXPECT_EQ(sched.FundedAmount(1), 0);
+  EXPECT_EQ(sched.ThreadMigrations(1), 0u);
+  sched.CheckIntegrity();
+}
+
 TEST(SmpPartitioned, FundingConservedUnderStealAndMigrationChurn) {
   obs::Registry reg;
   smp::SmpScheduler sched(PartOpts(4, 90210, &reg));
