@@ -70,6 +70,8 @@ class Client {
   // the compensation factor. Zero while inactive. Cached; invalidated by
   // the table's dirty propagation and by local mutations.
   Funding Value() const;
+  // True when Value() is a pure read: inactive, or the cache is warm.
+  bool value_cached() const { return !active_ || cache_valid_; }
 
   // --- Owner back-link ------------------------------------------------------
 

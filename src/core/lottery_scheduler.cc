@@ -48,6 +48,7 @@ LotteryScheduler::~LotteryScheduler() {
 }
 
 void LotteryScheduler::OnClientValueDirty(Client* client) {
+  ++value_epoch_;
   // Unowned clients (a removed thread's, mid-teardown) have no weight to
   // resync.
   ThreadState* state = OwnerOf(client);
@@ -685,6 +686,25 @@ uint64_t LotteryScheduler::RunnableTickets() {
   util::SeqGuard guard(queue_seq_);
   SyncTreeWeights();
   return QueueTotal();
+}
+
+std::optional<uint64_t> LotteryScheduler::CleanRunnableTickets() const {
+  if (options_.backend == RunQueueBackend::kList) {
+    return std::nullopt;
+  }
+  util::SeqGuard guard(queue_seq_);
+  if (!dirty_.empty()) {
+    return std::nullopt;
+  }
+  return QueueTotal();
+}
+
+std::optional<uint64_t> LotteryScheduler::CleanThreadValue(ThreadId id) const {
+  const ThreadState* state = FindState(id);
+  if (state == nullptr || !state->client.value_cached()) {
+    return std::nullopt;
+  }
+  return state->client.Value().raw_unsigned();
 }
 
 std::vector<std::pair<ThreadId, uint64_t>> LotteryScheduler::QueuedSnapshot() {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -138,6 +139,21 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // (thread, raw value) of every queued thread, in deterministic queue
   // order — the candidate set for the balancer's steal lottery.
   std::vector<std::pair<ThreadId, uint64_t>> QueuedSnapshot();
+  // Tree/alias backends: bumped by every value-dirty notification from
+  // this scheduler's currency table (funding, activation on wake/block/add/
+  // remove, compensation, any repricing), and by nothing else: picks and
+  // requeues leave it alone. While it is unchanged, no client's value has
+  // changed, so RunnableTickets() and the ThreadValue() of a thread whose
+  // value was already read are pure reads. The SMP balancer caches on it.
+  // The list backend does not observe the table, so its epoch never moves
+  // and nothing may be cached on it.
+  uint64_t value_epoch() const { return value_epoch_; }
+  // Side-effect-free forms of RunnableTickets() and ThreadValue() for
+  // integrity checks: the value the call would return, or nullopt when it
+  // would first have to flush dirty clients or reprice (and, for the queue
+  // total, always under the list backend).
+  std::optional<uint64_t> CleanRunnableTickets() const;
+  std::optional<uint64_t> CleanThreadValue(ThreadId id) const;
 
   FastRand& rng() { return rng_; }  // lotlint: stream(scheduler)
   const CompensationPolicy& compensation() const { return compensation_; }
@@ -243,7 +259,8 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   void UpgradeListToTree() REQUIRES(queue_seq_);
 
   // ValueObserver (registered with table_ under the tree/alias backends
-  // only; the list backend's run_queue_ observes the table itself).
+  // only; the list backend's run_queue_ observes the table itself): bumps
+  // value_epoch_ and tracks dirty_.
   void OnClientValueDirty(Client* client) override;
 
   Options options_;
@@ -274,6 +291,7 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // threshold. flush_ is SyncTreeWeights' scratch for the id-sorted flush.
   std::vector<ThreadState*> dirty_;
   std::vector<ThreadState*> flush_;
+  uint64_t value_epoch_ = 0;
   uint64_t num_lotteries_ = 0;
   uint64_t num_zero_fallbacks_ = 0;
   uint64_t timing_tick_ = 0;

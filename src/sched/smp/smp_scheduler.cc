@@ -66,6 +66,7 @@ SmpScheduler::SmpScheduler(Options options)
   }
   running_tid_.assign(static_cast<size_t>(options_.num_cpus),
                       kInvalidThreadId);
+  value_cache_.resize(static_cast<size_t>(options_.num_cpus));
   since_balance_.assign(static_cast<size_t>(options_.num_cpus), 0);
 }
 
@@ -208,12 +209,28 @@ uint64_t SmpScheduler::ThreadMigrations(ThreadId id) const {
 
 uint64_t SmpScheduler::AssignedValue(int c) {
   const size_t i = static_cast<size_t>(c);
-  uint64_t total = cpus_[i]->RunnableTickets();
+  LotteryScheduler& sched = *cpus_[i];
+  ValueCacheEntry& entry = value_cache_[i];
   const ThreadId running = running_tid_[i];
-  if (running != kInvalidThreadId) {
-    total += cpus_[i]->ThreadValue(running).raw_unsigned();
+  const uint64_t epoch = sched.value_epoch();
+  // An unchanged epoch means no client here was invalidated since the
+  // entry was filled: the dirty set is still empty and the running
+  // thread's value cache still warm, so the recompute below would be a
+  // pure read of the same sum. Picks and requeues only move value between
+  // the queue and the running thread, never changing the sum. The list
+  // backend's epoch never moves, so it is never cached.
+  const bool cacheable = sched.backend() != RunQueueBackend::kList;
+  if (cacheable && entry.epoch == epoch && entry.running == running) {
+    return entry.value;
   }
-  return total;
+  uint64_t value = sched.RunnableTickets();
+  if (running != kInvalidThreadId) {
+    value += sched.ThreadValue(running).raw_unsigned();
+  }
+  if (cacheable) {
+    entry = ValueCacheEntry{epoch, running, value};
+  }
+  return value;
 }
 
 void SmpScheduler::TryIdleSteal(int cpu, SimTime now) {
@@ -510,6 +527,25 @@ void SmpScheduler::CheckIntegrity() const {
     const ThreadRec* rec = FindRec(tid);
     if (rec == nullptr || !rec->running || rec->running_cpu != c) {
       throw std::logic_error("SmpScheduler: running-thread map out of sync");
+    }
+  }
+  for (int c = 0; c < options_.num_cpus; ++c) {
+    const size_t i = static_cast<size_t>(c);
+    const ValueCacheEntry& entry = value_cache_[i];
+    const LotteryScheduler& sched = *cpus_[i];
+    if (entry.epoch != sched.value_epoch() ||
+        entry.running != running_tid_[i]) {
+      continue;  // stale entries are recomputed before use
+    }
+    const std::optional<uint64_t> queued = sched.CleanRunnableTickets();
+    const std::optional<uint64_t> running =
+        entry.running == kInvalidThreadId
+            ? std::optional<uint64_t>(0)
+            : sched.CleanThreadValue(entry.running);
+    if (!queued.has_value() || !running.has_value() ||
+        *queued + *running != entry.value) {
+      throw std::logic_error("SmpScheduler: balancer value cache stale on CPU " +
+                             std::to_string(c));
     }
   }
 }

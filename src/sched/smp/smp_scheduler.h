@@ -121,7 +121,9 @@ class SmpScheduler : public Scheduler {
   // Migrations a single thread has survived (property tests).
   uint64_t ThreadMigrations(ThreadId id) const;
   // Structural invariants: every thread homed on exactly one CPU, queued on
-  // at most its home, never queued while running. Throws on violation.
+  // at most its home, never queued while running, and every valid balancer
+  // value-cache entry equal to a side-effect-free recomputation. Throws on
+  // violation.
   void CheckIntegrity() const;
 
   // Forcible migration hook for tests: moves a queued thread to `dst`,
@@ -147,9 +149,19 @@ class SmpScheduler : public Scheduler {
   // Drops a thread's running claim on its CPU (requeue/block/removal).
   void ClearRunning(ThreadRec& rec);
 
+  // One CPU's cached AssignedValue, valid while the CPU's value_epoch() and
+  // running thread both still match (DESIGN.md §4f, "Balance cost").
+  struct ValueCacheEntry {
+    uint64_t epoch = ~uint64_t{0};  // never a live epoch: starts invalid
+    ThreadId running = kInvalidThreadId;
+    uint64_t value = 0;
+  };
+
   // Runnable ticket value assigned to a CPU: its queue total plus the value
-  // of the thread it is currently running. Both terms are maintained
-  // incrementally by the per-CPU currency table's dirty propagation.
+  // of the thread it is currently running. Tree/alias CPUs serve it from
+  // value_cache_ until a client on the CPU is invalidated or it switches
+  // threads; a recompute syncs the queue and reads the running thread's
+  // value as before.
   uint64_t AssignedValue(int c);
 
   // Idle pull: nearest-domain victim with queued work, migrant chosen by a
@@ -189,6 +201,7 @@ class SmpScheduler : public Scheduler {
   // CheckIntegrity's walk is in tid order.
   std::vector<std::optional<ThreadRec>> by_tid_;
   std::vector<ThreadId> running_tid_;        // per CPU, kInvalid when none
+  std::vector<ValueCacheEntry> value_cache_;  // per CPU, for AssignedValue
   std::vector<uint32_t> since_balance_;      // dispatches since last check
   int next_home_ = 0;                        // round-robin spawn placement
   SimDuration last_quantum_ = SimDuration::Millis(100);

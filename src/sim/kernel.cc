@@ -1,6 +1,7 @@
 #include "src/sim/kernel.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "src/obs/etrace/trace_buffer.h"
@@ -82,6 +83,13 @@ void RunContext::AddProgress(int64_t delta) {
   }
 }
 
+void RunContext::AddProgressRun(SimTime first, SimDuration spacing,
+                                int64_t n) {
+  if (kernel_->tracer() != nullptr) {
+    kernel_->tracer()->AddProgressRun(self_, first, spacing, n);
+  }
+}
+
 Kernel::Kernel(Scheduler* scheduler, Options options, Tracer* tracer)
     : scheduler_(scheduler),
       lottery_(dynamic_cast<LotteryScheduler*>(scheduler)),
@@ -112,13 +120,45 @@ Kernel::Kernel(Scheduler* scheduler, Options options, Tracer* tracer)
         "Kernel: scheduler is partitioned for " + std::to_string(partitioned) +
         " CPUs but num_cpus = " + std::to_string(options_.num_cpus));
   }
-  cpu_free_.assign(static_cast<size_t>(options_.num_cpus), SimTime::Zero());
+  cpu_free_ = Frontier(options_.num_cpus);
   cpu_last_.assign(static_cast<size_t>(options_.num_cpus),
                    kInvalidThreadId);
   cpu_busy_.assign(static_cast<size_t>(options_.num_cpus), SimDuration{});
 }
 
 Kernel::~Kernel() = default;
+
+Kernel::Frontier::Frontier(int num_cpus) {
+  size_t leaves = 1;
+  while (leaves < static_cast<size_t>(num_cpus)) {
+    leaves *= 2;
+  }
+  // Padding leaves are never free, so they never win a match.
+  free_.assign(leaves, SimTime::FromNanos(std::numeric_limits<int64_t>::max()));
+  std::fill_n(free_.begin(), num_cpus, SimTime::Zero());
+  node_.resize(2 * leaves);
+  for (size_t i = 0; i < leaves; ++i) {
+    node_[leaves + i] = static_cast<uint32_t>(i);
+  }
+  for (size_t i = leaves - 1; i >= 1; --i) {
+    Match(i);
+  }
+}
+
+void Kernel::Frontier::Set(size_t cpu, SimTime t) {
+  free_[cpu] = t;
+  for (size_t i = (free_.size() + cpu) / 2; i >= 1; i /= 2) {
+    Match(i);
+  }
+}
+
+void Kernel::Frontier::Match(size_t i) {
+  // The left subtree holds the lower CPU indices, so a tie keeps the left
+  // winner.
+  const uint32_t left = node_[2 * i];
+  const uint32_t right = node_[2 * i + 1];
+  node_[i] = free_[right] < free_[left] ? right : left;
+}
 
 Kernel::Thread& Kernel::ThreadOf(ThreadId tid) {
   if (tid == 0 || tid >= next_tid_) {
@@ -255,8 +295,8 @@ bool Kernel::IsQuiescent() const {
   if (runnable_count_ > 0 || !events_.empty()) {
     return false;
   }
-  for (const SimTime free_at : cpu_free_) {
-    if (free_at > now_) {
+  for (size_t cpu = 0; cpu < static_cast<size_t>(options_.num_cpus); ++cpu) {
+    if (cpu_free_.At(cpu) > now_) {
       return false;  // a slice is still in flight
     }
   }
@@ -344,24 +384,20 @@ void Kernel::RunUntil(SimTime end) {
   util::SeqGuard guard(dispatch_seq_);
   for (;;) {
     // Dispatch on the CPU that frees up first.
-    size_t cpu = 0;
-    for (size_t i = 1; i < cpu_free_.size(); ++i) {
-      if (cpu_free_[i] < cpu_free_[cpu]) {
-        cpu = i;
-      }
-    }
-    if (cpu_free_[cpu] >= end) {
+    const size_t cpu = cpu_free_.Earliest();
+    const SimTime free_at = cpu_free_.At(cpu);
+    if (free_at >= end) {
       // The clock ends at the dispatch frontier: a slice that crossed the
       // horizon has already been charged, so now() reflects it (this also
       // keeps used + idle time exactly equal to elapsed capacity).
-      now_ = cpu_free_[cpu];
+      now_ = free_at;
       events_.RunUntil(now_);
       DeliverTicks();
       PollSampler();
       return;
     }
-    if (cpu_free_[cpu] > now_) {
-      now_ = cpu_free_[cpu];
+    if (free_at > now_) {
+      now_ = free_at;
     }
     events_.RunUntil(now_);
     DeliverTicks();
@@ -384,7 +420,7 @@ void Kernel::RunUntil(SimTime end) {
         continue;
       }
       idle_time_ += target - now_;
-      cpu_free_[cpu] = target;
+      cpu_free_.Set(cpu, target);
       continue;
     }
 
@@ -428,7 +464,7 @@ void Kernel::RunUntil(SimTime end) {
     thread.cpu_time += ctx.used();
     cpu_busy_[cpu] += ctx.used();
     const SimTime slice_end = now_ + ctx.used();
-    cpu_free_[cpu] = slice_end;
+    cpu_free_.Set(cpu, slice_end);
 
     Disposition disposition = ctx.disposition();
     if (!ctx.disposition_set_) {

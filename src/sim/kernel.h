@@ -1,5 +1,6 @@
-// The simulated kernel: a single-CPU, quantum-driven dispatcher that stands
-// in for the modified Mach 3.0 kernel of the paper's prototype.
+// The simulated kernel: a quantum-driven dispatcher over one or more CPUs
+// that stands in for the modified Mach 3.0 kernel of the paper's prototype
+// (one CPU, the default, is that platform exactly).
 //
 // Threads are ThreadBody state machines. On dispatch, a body receives a
 // RunContext with a CPU budget (one scheduling quantum); it consumes
@@ -8,6 +9,14 @@
 // (mutex, RPC), or exited. The kernel charges exactly the consumed time,
 // notifies the policy Scheduler (lottery or any baseline), delivers timer
 // events, and advances the virtual clock. Everything is deterministic.
+//
+// With several CPUs, each one is next free at some virtual time (the end
+// of its in-flight slice or idle period); that set of times is the dispatch
+// frontier. RunUntil always dispatches on the CPU that frees up first,
+// breaking ties toward the lowest CPU index, and keeps the frontier in a
+// min-index tournament tree so finding that CPU costs O(1) and each update
+// O(lg P) rather than an O(P) scan per dispatch. Slices run atomically; a
+// slice's outcome (requeue, block, exit) is applied by an event at its end.
 
 #ifndef SRC_SIM_KERNEL_H_
 #define SRC_SIM_KERNEL_H_
@@ -102,6 +111,10 @@ class RunContext {
 
   // Workload progress, forwarded to the kernel's Tracer (if any).
   void AddProgress(int64_t delta);
+  // `n` progress ticks at first, first + spacing, ..., first + (n-1)*spacing
+  // (each at most now()): the bulk form of n AddProgress(1) calls made at
+  // those instants, at a cost independent of n.
+  void AddProgressRun(SimTime first, SimDuration spacing, int64_t n);
 
   Disposition disposition() const { return disposition_; }
   SimDuration sleep_duration() const { return sleep_; }
@@ -310,6 +323,26 @@ class Kernel {
   size_t live_threads_ = 0;
   size_t runnable_count_ = 0;
   uint64_t zero_use_streak_ = 0;
+  // The dispatch frontier: when each CPU is next free, under a min-index
+  // tournament tree (node i holds the earliest-free CPU of its subtree, the
+  // lower index on ties), so the next CPU to dispatch is one read and each
+  // update replays the O(lg P) matches on one leaf-to-root path.
+  class Frontier {
+   public:
+    explicit Frontier(int num_cpus = 1);
+    SimTime At(size_t cpu) const { return free_[cpu]; }
+    // The CPU that frees up first; the lowest index among ties.
+    size_t Earliest() const { return node_[1]; }
+    void Set(size_t cpu, SimTime t);
+
+   private:
+    // Recomputes internal node i from its two children.
+    void Match(size_t i);
+
+    std::vector<SimTime> free_;  // per CPU, padded to a power of two
+    std::vector<uint32_t> node_;  // 1-based heap; leaves at [leaves, 2*leaves)
+  };
+
   // Serialization domain for the per-CPU dispatch frontier: RunUntil is the
   // only writer today; when the SMP rebalancer gives each CPU its own
   // dispatch loop, this becomes the per-domain dispatch lock. Readers
@@ -318,7 +351,7 @@ class Kernel {
   mutable util::Seq dispatch_seq_;
   // Per-CPU state: when each CPU is next free, what it last ran (for
   // context-switch counting), and its cumulative busy time.
-  std::vector<SimTime> cpu_free_ GUARDED_BY(dispatch_seq_);
+  Frontier cpu_free_ GUARDED_BY(dispatch_seq_);
   std::vector<ThreadId> cpu_last_ GUARDED_BY(dispatch_seq_);
   std::vector<SimDuration> cpu_busy_ GUARDED_BY(dispatch_seq_);
   std::vector<ThreadExitObserver*> exit_observers_;

@@ -1,5 +1,6 @@
 #include "src/sim/trace.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -21,6 +22,39 @@ void Tracer::AddProgress(ThreadId tid, SimTime now, int64_t delta) {
   totals_[tid] += delta;
   if (w + 1 > num_windows_) {
     num_windows_ = w + 1;
+  }
+}
+
+void Tracer::AddProgressRun(ThreadId tid, SimTime first, SimDuration spacing,
+                            int64_t n) {
+  if (n <= 0) {
+    return;
+  }
+  if (spacing.nanos() <= 0) {
+    throw std::invalid_argument("Tracer::AddProgressRun: spacing must be "
+                                "positive");
+  }
+  const int64_t w_ns = window_.nanos();
+  const int64_t s_ns = spacing.nanos();
+  const int64_t t0 = first.nanos();
+  auto& vec = progress_[tid];
+  int64_t k = 0;
+  while (k < n) {
+    const size_t w = static_cast<size_t>((t0 + k * s_ns) / w_ns);
+    // Ticks k..end-1 fall before this window's end: end is the smallest j
+    // with t0 + j * s_ns >= (w + 1) * w_ns.
+    const int64_t edge = static_cast<int64_t>(w + 1) * w_ns - t0;
+    const int64_t end = std::min(n, (edge + s_ns - 1) / s_ns);
+    if (vec.size() <= w) {
+      vec.resize(w + 1, 0);
+    }
+    vec[w] += end - k;
+    k = end;
+  }
+  totals_[tid] += n;
+  const size_t last = static_cast<size_t>((t0 + (n - 1) * s_ns) / w_ns);
+  if (last + 1 > num_windows_) {
+    num_windows_ = last + 1;
   }
 }
 

@@ -26,6 +26,11 @@ class Tracer {
   // --- Progress counters ----------------------------------------------------
 
   void AddProgress(ThreadId tid, SimTime now, int64_t delta);
+  // One unit of progress at each of first + k * spacing, k = 0..n-1: the
+  // same windows and totals as n AddProgress(tid, t_k, 1) calls, split
+  // arithmetically at window edges (O(windows touched), not O(n)).
+  void AddProgressRun(ThreadId tid, SimTime first, SimDuration spacing,
+                      int64_t n);
   int64_t TotalProgress(ThreadId tid) const;
   // Progress of `tid` during window `w` (w = floor(time/window)).
   int64_t WindowProgress(ThreadId tid, size_t w) const;

@@ -11,20 +11,20 @@ UnitWorkTask::UnitWorkTask(SimDuration unit_cost) : unit_cost_(unit_cost) {
 }
 
 void UnitWorkTask::Run(RunContext& ctx) {
-  for (;;) {
-    const SimDuration need = unit_cost_ - partial_;
-    if (ctx.remaining() < need) {
-      partial_ += ctx.Consume(ctx.remaining());
-      break;
-    }
-    ctx.Consume(need);
-    partial_ = SimDuration{};
-    ++units_done_;
-    ctx.AddProgress(1);
-    OnUnit(ctx);
-    if (ctx.remaining().nanos() == 0) {
-      break;
-    }
+  const int64_t unit = unit_cost_.nanos();
+  const int64_t need = unit - partial_.nanos();  // > 0: partial_ < unit
+  const int64_t budget = ctx.remaining().nanos();
+  if (budget < need) {
+    partial_ += ctx.Consume(ctx.remaining());
+  } else {
+    // Unit k (k = 0..n-1) completes at now + need + k * unit.
+    const int64_t n = 1 + (budget - need) / unit;
+    const SimTime first_done = ctx.now() + SimDuration::Nanos(need);
+    ctx.Consume(SimDuration::Nanos(need + (n - 1) * unit));
+    units_done_ += n;
+    ctx.AddProgressRun(first_done, unit_cost_, n);
+    OnUnits(ctx, n);
+    partial_ = ctx.Consume(ctx.remaining());
   }
   OnSliceEnd(ctx);
 }

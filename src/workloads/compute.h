@@ -23,6 +23,13 @@ namespace lottery {
 
 // Performs units of work, each costing `unit_cost` of CPU; one progress
 // tick per completed unit. Subclasses may hook unit/slice completion.
+//
+// A slice's units are computed in closed form, not one at a time: Run
+// finishes the carried partial unit, then as many whole units as the budget
+// holds, with one Consume for all of them and one for the leftover partial.
+// Progress still lands at each unit's own completion time (Tracer windows
+// are split arithmetically), so the cost of a slice does not depend on how
+// many units it holds.
 class UnitWorkTask : public ThreadBody {
  public:
   explicit UnitWorkTask(SimDuration unit_cost);
@@ -32,8 +39,13 @@ class UnitWorkTask : public ThreadBody {
   int64_t units_done() const { return units_done_; }
 
  protected:
-  // Called after each completed unit (progress already reported).
-  virtual void OnUnit(RunContext& /*ctx*/) {}
+  // Called once per slice that completes `n` >= 1 units, after all n have
+  // been consumed, counted in units_done() and reported as progress, and
+  // before the leftover partial unit is consumed: ctx.now() is the n-th
+  // unit's completion time. Overrides do per-unit work for the n units in
+  // completion order (what n calls of a per-unit hook would have done);
+  // they must not consume CPU or end the slice.
+  virtual void OnUnits(RunContext& /*ctx*/, int64_t /*n*/) {}
   // Called once per slice, just before the body returns.
   virtual void OnSliceEnd(RunContext& /*ctx*/) {}
 

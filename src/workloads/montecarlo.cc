@@ -13,12 +13,15 @@ MonteCarloTask::MonteCarloTask(CurrencyTable* table, Ticket* funding_ticket,
       options_(options),
       sampler_(options.sampler_seed) {}
 
-void MonteCarloTask::OnUnit(RunContext& /*ctx*/) {
-  // One genuine Monte-Carlo sample of the integrand 4/(1+x^2) on [0,1].
-  const double x = sampler_.NextUnit();
-  const double f = 4.0 / (1.0 + x * x);
-  sum_ += f;
-  sum_sq_ += f * f;
+void MonteCarloTask::OnUnits(RunContext& /*ctx*/, int64_t n) {
+  // One genuine Monte-Carlo sample of the integrand 4/(1+x^2) on [0,1] per
+  // completed trial.
+  for (int64_t i = 0; i < n; ++i) {
+    const double x = sampler_.NextUnit();
+    const double f = 4.0 / (1.0 + x * x);
+    sum_ += f;
+    sum_sq_ += f * f;
+  }
 }
 
 double MonteCarloTask::estimate() const {

@@ -65,7 +65,7 @@ class MonteCarloTask : public UnitWorkTask {
   int64_t current_amount() const;
 
  protected:
-  void OnUnit(RunContext& ctx) override;
+  void OnUnits(RunContext& ctx, int64_t n) override;
   void OnSliceEnd(RunContext& ctx) override;
 
  private:

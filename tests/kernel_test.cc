@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/sched/round_robin.h"
 #include "src/workloads/compute.h"
 
@@ -224,6 +230,63 @@ TEST(Kernel, RunUntilQuiescentHitsHorizonOnEndlessWork) {
   kernel.Spawn("spin", std::make_unique<Spinner>());
   EXPECT_FALSE(kernel.RunUntilQuiescent(SimDuration::Seconds(2)));
   EXPECT_GE(kernel.now().ToSecondsF(), 2.0);
+}
+
+// FNV-1a over (tid, cpu, start) of every logged dispatch.
+uint64_t DispatchLogHash(const Tracer& tracer) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ull;
+    }
+  };
+  for (const Tracer::Dispatch& d : tracer.dispatches()) {
+    uint64_t start_bits = 0;
+    std::memcpy(&start_bits, &d.start_sec, sizeof(start_bits));
+    mix(d.tid);
+    mix(static_cast<uint64_t>(d.cpu));
+    mix(start_bits);
+  }
+  return h;
+}
+
+TEST(Kernel, FrontierTiesGoToTheLowestCpu) {
+  // Every CPU is free at t = 0 and the spinners' equal quanta keep ending
+  // together, so most dispatches break a tie; the nappers leave CPUs idle
+  // and wake onto them mid-quantum. The hashes pin the (tid, cpu, start)
+  // log the strict-< linear scan produced before the tournament tree.
+  const std::vector<std::pair<int, uint64_t>> cases = {
+      {2, 0x30028c3ed69574c7ull},
+      {3, 0xcfac8aac1a8fc915ull},
+      {7, 0xda31d51ee4f400b7ull},
+      {64, 0x1beff4716acd89f2ull},
+  };
+  for (const auto& [cpus, expected] : cases) {
+    RoundRobinScheduler sched;
+    Kernel::Options opts;
+    opts.quantum = SimDuration::Millis(10);
+    opts.num_cpus = cpus;
+    Tracer tracer;
+    tracer.EnableDispatchLog();
+    Kernel kernel(&sched, opts, &tracer);
+    for (int i = 0; i < cpus / 2 + 1; ++i) {
+      kernel.Spawn("spin" + std::to_string(i), std::make_unique<Spinner>());
+    }
+    kernel.Spawn("nap-short", std::make_unique<Napper>(
+                                  SimDuration::Millis(3),
+                                  SimDuration::Millis(7), 1000000));
+    kernel.Spawn("nap-quantum", std::make_unique<Napper>(
+                                    SimDuration::Millis(10),
+                                    SimDuration::Millis(10), 1000000));
+    kernel.RunFor(SimDuration::Seconds(1));
+    // At t = 0 every CPU ties, so the first dispatches fill CPUs 0, 1, ...
+    ASSERT_GE(tracer.dispatches().size(), 2u);
+    EXPECT_EQ(tracer.dispatches()[0].cpu, 0);
+    EXPECT_EQ(tracer.dispatches()[1].cpu, 1);
+    EXPECT_EQ(DispatchLogHash(tracer), expected)
+        << "num_cpus=" << cpus << " hash=0x" << std::hex
+        << DispatchLogHash(tracer);
+  }
 }
 
 TEST(Kernel, RejectsBadQuantum) {

@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "src/obs/counter.h"
 #include "src/obs/registry.h"
 #include "src/sched/smp/balance_domains.h"
 #include "src/sched/smp/smp_scheduler.h"
+#include "src/sim/kernel.h"
+#include "src/workloads/compute.h"
 
 namespace lottery {
 namespace {
@@ -236,6 +241,157 @@ TEST(SmpBalance, DeterministicAcrossIdenticalRuns) {
     return winners;
   };
   EXPECT_EQ(run(), run());
+}
+
+// Runs CheckIntegrity from inside the dispatch loop every `interval`, so
+// the balancer's value cache is checked between dispatches, not only
+// between RunFor steps.
+class IntegrityHook : public SampleHook {
+ public:
+  IntegrityHook(const SmpScheduler* sched, SimDuration interval)
+      : sched_(sched), interval_(interval) {}
+  int64_t Sample(SimTime now) override {
+    sched_->CheckIntegrity();
+    ++checks_;
+    return (now + interval_).nanos();
+  }
+  uint64_t checks() const { return checks_; }
+
+ private:
+  const SmpScheduler* sched_;
+  SimDuration interval_;
+  uint64_t checks_ = 0;
+};
+
+struct ChurnResult {
+  uint64_t steals = 0;
+  uint64_t migrations = 0;
+  uint64_t cost_vetoes = 0;
+  uint64_t cpu_time_hash = 0;
+};
+
+// Value churn on every path that can move a CPU's assigned ticket value:
+// SetAmount on a per-CPU pool currency that funds some threads, the
+// compensation tickets YieldingTask earns, InteractiveTask's block/wake
+// cycle, forced migrations, and the balancer's own steals.
+ChurnResult RunValueChurn(RunQueueBackend backend, int cpus) {
+  obs::Registry reg;
+  SmpScheduler::Options so;
+  so.num_cpus = cpus;
+  so.seed = 9091;
+  so.balance_period = 2;
+  // A heavy cache footprint, so the crossbar cost model vetoes some steals.
+  so.footprint_cells = 512;
+  so.cpu.backend = backend;
+  so.metrics = &reg;
+  SmpScheduler sched(so);
+  Kernel::Options ko;
+  ko.quantum = SimDuration::Millis(5);
+  ko.num_cpus = cpus;
+  ko.metrics = &reg;
+  Kernel kernel(&sched, ko);
+
+  std::vector<Ticket*> pool_ticket;
+  std::vector<Currency*> pool;
+  for (int c = 0; c < cpus; ++c) {
+    CurrencyTable& table = sched.cpu(c).table();
+    pool.push_back(table.CreateCurrency("pool"));
+    pool_ticket.push_back(table.CreateTicket(table.base(), 100));
+    table.Fund(pool.back(), pool_ticket.back());
+  }
+  const int n = 3 * cpus;
+  std::vector<ThreadId> tids;
+  for (int i = 0; i < n; ++i) {
+    std::unique_ptr<ThreadBody> body;
+    switch (i % 3) {
+      case 0:
+        body = std::make_unique<ComputeTask>();
+        break;
+      case 1:
+        body = std::make_unique<YieldingTask>(SimDuration::Millis(2));
+        break;
+      default:
+        body = std::make_unique<InteractiveTask>(SimDuration::Millis(1),
+                                                 SimDuration::Millis(8));
+        break;
+    }
+    const ThreadId tid = kernel.Spawn("t" + std::to_string(i),
+                                      std::move(body));
+    sched.FundThread(tid, 50 + 37 * (i % 7));
+    if (i % 2 == 0) {
+      // Pool funding is per-table and is not re-issued on migration.
+      const int home = sched.HomeCpu(tid);
+      sched.cpu(home).FundThread(tid, pool[static_cast<size_t>(home)],
+                                 10 + i % 5);
+    }
+    tids.push_back(tid);
+  }
+
+  IntegrityHook hook(&sched, SimDuration::Millis(1));
+  kernel.SetSampler(&hook);
+  // The crossbar's matching rounds make wide machines costly to simulate,
+  // so the 64-CPU runs are shorter.
+  const int steps = cpus > 8 ? 6 : 40;
+  for (int step = 0; step < steps; ++step) {
+    kernel.RunFor(SimDuration::Millis(10));
+    for (int k = 0; k < 2; ++k) {
+      const int c = (step * 3 + k * 5) % cpus;
+      sched.cpu(c).table().SetAmount(pool_ticket[static_cast<size_t>(c)],
+                                     20 + (step * 13 + c * 7) % 300);
+    }
+    const ThreadId tid = tids[static_cast<size_t>((step * 5) % n)];
+    const int home = sched.HomeCpu(tid);
+    if (sched.cpu(home).IsQueued(tid)) {
+      sched.Migrate(tid, (home + 1 + step % (cpus - 1)) % cpus, kernel.now());
+    }
+    sched.CheckIntegrity();
+  }
+  kernel.SetSampler(nullptr);
+  if constexpr (obs::kObsEnabled) {  // sampling hooks compile out otherwise
+    EXPECT_GT(hook.checks(), 0u);
+  }
+
+  ChurnResult result;
+  result.steals = sched.steals();
+  result.migrations = sched.migrations();
+  result.cost_vetoes = sched.cost_vetoes();
+  uint64_t h = 1469598103934665603ull;
+  for (const ThreadId tid : tids) {
+    const uint64_t ns = static_cast<uint64_t>(kernel.CpuTime(tid).nanos());
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((ns >> (8 * i)) & 0xffu)) * 1099511628211ull;
+    }
+  }
+  result.cpu_time_hash = h;
+  return result;
+}
+
+TEST(SmpBalance, ValueCacheSurvivesChurn) {
+  // Pinned from the balancer before it cached per-CPU values: the cache
+  // must not move a single steal, migration, veto or CPU-time nanosecond.
+  struct Case {
+    RunQueueBackend backend;
+    int cpus;
+    ChurnResult expected;
+  };
+  const std::vector<Case> cases = {
+      {RunQueueBackend::kList, 4, {8, 119, 10, 0xf776f233a84900b3ull}},
+      {RunQueueBackend::kTree, 4, {15, 108, 17, 0x66d0a18cf0a384a7ull}},
+      {RunQueueBackend::kAlias, 4, {9, 117, 14, 0x961d7ceb72439434ull}},
+      {RunQueueBackend::kList, 64, {56, 285, 111, 0x062b8b7f6d5e46efull}},
+      {RunQueueBackend::kTree, 64, {30, 251, 119, 0x265f7d1d3534d40cull}},
+      {RunQueueBackend::kAlias, 64, {31, 258, 108, 0x91c1b3af059916f7ull}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(c.backend)) +
+                 " cpus=" + std::to_string(c.cpus));
+    const ChurnResult got = RunValueChurn(c.backend, c.cpus);
+    EXPECT_EQ(got.steals, c.expected.steals);
+    EXPECT_EQ(got.migrations, c.expected.migrations);
+    EXPECT_EQ(got.cost_vetoes, c.expected.cost_vetoes);
+    EXPECT_EQ(got.cpu_time_hash, c.expected.cpu_time_hash)
+        << std::hex << "0x" << got.cpu_time_hash;
+  }
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <random>
+#include <string>
 
 #include "src/sched/round_robin.h"
 #include "src/workloads/compute.h"
@@ -233,6 +237,179 @@ TEST(MonteCarloTask, FreshTaskCatchesUpThenConverges) {
   // Long-run convergence: equal errors => near-equal totals.
   const double gap = std::abs(static_cast<double>(a->trials() - b->trials()));
   EXPECT_LT(gap / static_cast<double>(a->trials()), 0.15);
+}
+
+// The per-unit slice loop UnitWorkTask ran before it computed a slice's
+// units in closed form, kept as the reference: one Consume, one progress
+// tick and one Monte-Carlo sample per unit, then MonteCarloTask's measured
+// error re-pricing at the end of the slice.
+class PerUnitMonteCarlo : public ThreadBody {
+ public:
+  PerUnitMonteCarlo(CurrencyTable* table, Ticket* ticket,
+                    const MonteCarloTask::Options& options)
+      : table_(table),
+        ticket_(ticket),
+        options_(options),
+        sampler_(options.sampler_seed) {}
+
+  void Run(RunContext& ctx) override {
+    for (;;) {
+      const SimDuration need = options_.trial_cost - partial_;
+      if (ctx.remaining() < need) {
+        partial_ += ctx.Consume(ctx.remaining());
+        break;
+      }
+      ctx.Consume(need);
+      partial_ = SimDuration{};
+      ++trials_;
+      ctx.AddProgress(1);
+      const double x = sampler_.NextUnit();
+      const double f = 4.0 / (1.0 + x * x);
+      sum_ += f;
+      sum_sq_ += f * f;
+      if (ctx.remaining().nanos() == 0) {
+        break;
+      }
+    }
+    if (trials_ == 0) {
+      return;
+    }
+    const double dn = static_cast<double>(trials_);
+    const double mean = sum_ / dn;
+    double err = 1.0;
+    if (trials_ >= 2 && mean != 0.0) {
+      const double variance =
+          std::max(0.0, (sum_sq_ - dn * mean * mean) / (dn - 1.0));
+      err = std::sqrt(variance / dn) / std::abs(mean);
+    }
+    const auto amount = static_cast<int64_t>(
+        static_cast<double>(options_.inflation_scale) * err * err);
+    const int64_t clamped =
+        std::clamp(amount, options_.min_amount, options_.max_amount);
+    if (clamped != ticket_->amount()) {
+      table_->SetAmount(ticket_, clamped);
+    }
+  }
+
+  int64_t trials() const { return trials_; }
+  double estimate() const {
+    return trials_ > 0 ? sum_ / static_cast<double>(trials_) : 0.0;
+  }
+
+ private:
+  CurrencyTable* table_;
+  Ticket* ticket_;
+  MonteCarloTask::Options options_;
+  FastRand sampler_;
+  SimDuration partial_{};
+  int64_t trials_ = 0;
+  double sum_ = 0.0;
+  double sum_sq_ = 0.0;
+};
+
+TEST(UnitWorkTask, ClosedFormSliceEqualsPerUnitLoop) {
+  std::mt19937_64 gen(20261017);
+  auto uniform = [&gen](int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(gen);
+  };
+  for (int config = 0; config < 300; ++config) {
+    const int64_t quantum = uniform(1, 2000000);
+    int64_t unit = 0;
+    switch (config % 4) {
+      case 0:  // divides the quantum exactly
+        unit = std::max<int64_t>(1, quantum / uniform(1, 50));
+        unit = quantum % unit == 0 ? unit : quantum;
+        break;
+      case 1:  // larger than the quantum: units span several slices
+        unit = quantum * uniform(1, 4) + uniform(1, quantum);
+        break;
+      case 2:  // a few units per quantum with a remainder
+        unit = uniform(1, quantum);
+        break;
+      default:  // tiny units, many per slice
+        unit = uniform(1, 64);
+        break;
+    }
+    // Windows from a fraction of a unit to a few quanta, so window edges
+    // cut slices and runs of units mid-way.
+    const int64_t window = uniform(1, 3 * quantum);
+    SCOPED_TRACE("quantum=" + std::to_string(quantum) +
+                 " unit=" + std::to_string(unit) +
+                 " window=" + std::to_string(window));
+
+    MonteCarloTask::Options opts;
+    opts.trial_cost = SimDuration::Nanos(unit);
+    opts.error_model = MonteCarloTask::ErrorModel::kMeasured;
+    opts.inflation_scale = 1000000000000;
+    opts.max_amount = 1000000000;
+    opts.sampler_seed = static_cast<uint32_t>(config + 1);
+
+    Kernel::Options ko;
+    ko.quantum = SimDuration::Nanos(quantum);
+    RoundRobinScheduler sched_a;
+    RoundRobinScheduler sched_b;
+    Tracer tracer_a(SimDuration::Nanos(window));
+    Tracer tracer_b(SimDuration::Nanos(window));
+    Kernel kernel_a(&sched_a, ko, &tracer_a);
+    Kernel kernel_b(&sched_b, ko, &tracer_b);
+    CurrencyTable table_a;
+    CurrencyTable table_b;
+    Ticket* ticket_a = table_a.CreateTicket(table_a.base(), 1000);
+    Ticket* ticket_b = table_b.CreateTicket(table_b.base(), 1000);
+    MonteCarloTask closed(&table_a, ticket_a, opts);
+    PerUnitMonteCarlo reference(&table_b, ticket_b, opts);
+
+    const ThreadId tid = 1;
+    SimTime start = SimTime::Zero() + SimDuration::Nanos(uniform(0, window));
+    SimDuration cpu_a{};
+    SimDuration cpu_b{};
+    for (int slice = 0; slice < 40; ++slice) {
+      // Mostly full quanta; sometimes a short budget, which leaves a
+      // partial unit to carry into the next slice.
+      const SimDuration budget = SimDuration::Nanos(
+          uniform(0, 2) == 0 ? uniform(1, quantum) : quantum);
+      RunContext ctx_a(&kernel_a, tid, start, budget);
+      RunContext ctx_b(&kernel_b, tid, start, budget);
+      closed.Run(ctx_a);
+      reference.Run(ctx_b);
+      ASSERT_EQ(ctx_a.used(), ctx_b.used()) << "slice " << slice;
+      cpu_a += ctx_a.used();
+      cpu_b += ctx_b.used();
+      ASSERT_EQ(closed.units_done(), reference.trials()) << "slice " << slice;
+      ASSERT_EQ(closed.estimate(), reference.estimate()) << "slice " << slice;
+      ASSERT_EQ(ticket_a->amount(), ticket_b->amount()) << "slice " << slice;
+      start = start + ctx_a.used() + SimDuration::Nanos(uniform(0, quantum));
+    }
+    EXPECT_EQ(cpu_a, cpu_b);
+    EXPECT_EQ(tracer_a.TotalProgress(tid), tracer_b.TotalProgress(tid));
+    EXPECT_EQ(tracer_a.TotalProgress(tid), closed.units_done());
+    ASSERT_EQ(tracer_a.num_windows(), tracer_b.num_windows());
+    for (size_t w = 0; w < tracer_b.num_windows(); ++w) {
+      ASSERT_EQ(tracer_a.WindowProgress(tid, w),
+                tracer_b.WindowProgress(tid, w))
+          << "window " << w;
+    }
+  }
+}
+
+TEST(Tracer, ProgressRunMatchesSingleTicks) {
+  Tracer run(SimDuration::Nanos(10));
+  Tracer single(SimDuration::Nanos(10));
+  // Spacing 3 from t = 7: ticks at 7, 10, 13, ..., 34 straddle window
+  // edges exactly (10, 20, 30).
+  run.AddProgressRun(5, SimTime::FromNanos(7), SimDuration::Nanos(3), 10);
+  for (int64_t k = 0; k < 10; ++k) {
+    single.AddProgress(5, SimTime::FromNanos(7 + 3 * k), 1);
+  }
+  run.AddProgressRun(5, SimTime::FromNanos(50), SimDuration::Nanos(1), 0);
+  ASSERT_EQ(run.num_windows(), single.num_windows());
+  for (size_t w = 0; w < single.num_windows(); ++w) {
+    EXPECT_EQ(run.WindowProgress(5, w), single.WindowProgress(5, w)) << w;
+  }
+  EXPECT_EQ(run.TotalProgress(5), 10);
+  EXPECT_THROW(
+      run.AddProgressRun(5, SimTime::Zero(), SimDuration::Nanos(0), 1),
+      std::invalid_argument);
 }
 
 TEST(DeadlineTask, AllOnTimeWhenAlone) {
