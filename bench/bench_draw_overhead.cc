@@ -363,17 +363,15 @@ void AppendChurnMetrics(
 
 // Steady-state dispatch rig: full quanta (no compensation ticket, no
 // reprice), the regime where the draw itself dominates dispatch cost and
-// where speculative batching and the alias table are allowed to engage.
+// where the alias table is allowed to engage.
 // This is the rig behind the draw-path perf-gate leg: counter-derived keys
 // are deterministic for a fixed seed; wall-clock keys end in "_ns" and are
 // skipped by the gate.
 struct SteadyRig {
-  SteadyRig(size_t n, RunQueueBackend backend, uint32_t batch_window,
-            uint32_t seed) {
+  SteadyRig(size_t n, RunQueueBackend backend, uint32_t seed) {
     LotteryScheduler::Options sopts;
     sopts.seed = seed;
     sopts.backend = backend;
-    sopts.batch_window = batch_window;
     sopts.metrics = &registry;
     scheduler = std::make_unique<LotteryScheduler>(sopts);
     for (size_t i = 0; i < n; ++i) {
@@ -405,19 +403,14 @@ void AppendSteadyMetrics(
   struct Leg {
     const char* key;
     RunQueueBackend backend;
-    uint32_t batch_window;
   };
-  // tree_nobatch isolates the branchless-descent win from the batching win:
-  // the acceptance ratio for the draw path is steady_tree vs
-  // steady_tree_nobatch at the same n.
   const Leg legs[] = {
-      {"steady_tree", RunQueueBackend::kTree, 8},
-      {"steady_tree_nobatch", RunQueueBackend::kTree, 0},
-      {"steady_alias", RunQueueBackend::kAlias, 0},
+      {"steady_tree", RunQueueBackend::kTree},
+      {"steady_alias", RunQueueBackend::kAlias},
   };
   for (const Leg& leg : legs) {
     for (const size_t n : {size_t{100}, size_t{1000}, size_t{10000}}) {
-      SteadyRig rig(n, leg.backend, leg.batch_window, seed);
+      SteadyRig rig(n, leg.backend, seed);
       const int warmup = static_cast<int>(n < 512 ? 512 : n);
       for (int i = 0; i < warmup; ++i) {
         rig.Step();
@@ -448,10 +441,7 @@ void AppendSteadyMetrics(
           std::string(leg.key) + "_" + std::to_string(n);
       out->emplace_back(key + "_ns_per_dispatch", wall_ns / kMeasured);
       out->emplace_back(key + "_full_syncs", counter("tree.full_syncs"));
-      if (leg.backend == RunQueueBackend::kTree) {
-        out->emplace_back(key + "_batch_draws_per_dispatch",
-                          counter("lottery.batch_draws") / kMeasured);
-      } else {
+      if (leg.backend == RunQueueBackend::kAlias) {
         out->emplace_back(key + "_table_draws_per_dispatch",
                           counter("alias.table_draws") / kMeasured);
         // The table was built during warmup; a steady measured phase must

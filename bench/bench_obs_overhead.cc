@@ -25,14 +25,11 @@
 // measured and reported alongside for context. With --check the binary
 // exits nonzero when the worst decision-cycle configuration reaches 4%,
 // which CI uses as a regression gate. (The gate was 2% before the
-// draw-path work; branchless descent plus speculative batching cut the
-// steady-state decision cycle ~2-3x while adding one counter event per
-// batched pick, so the same ~2 ns absolute hook cost is now a larger
-// share of a much cheaper denominator — the 4% bound keeps gating
-// absolute hook bloat without penalizing the faster draw. The priced
-// model also overcharges here: batch serves bump counters by value, and
-// events are priced as if each were a separate Inc call.) --json emits
-// the shared BENCH_<name>.json schema.
+// draw-path work; the branchless tree descent made the decision cycle
+// much cheaper, so the same ~2 ns absolute hook cost is now a larger
+// share of a cheaper denominator — the 4% bound keeps gating absolute
+// hook bloat without penalizing the faster draw.) --json emits the shared
+// BENCH_<name>.json schema.
 //
 // The structured trace (src/obs/etrace/) is ablated directly: the kernel
 // dispatch path runs with no buffer and with a masked-off buffer in

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <stdexcept>
 #include <vector>
 
@@ -26,13 +25,9 @@ LotteryScheduler::LotteryScheduler(Options options)
       transfers_(metrics_->counter("lottery.transfers")),
       leaf_updates_(metrics_->counter("tree.leaf_updates")),
       full_syncs_(metrics_->counter("tree.full_syncs")),
-      batch_formed_(metrics_->counter("lottery.batch_formed")),
-      batch_draws_(metrics_->counter("lottery.batch_draws")),
-      batch_flushes_(metrics_->counter("lottery.batch_flushes")),
       alias_rebuilds_(metrics_->counter("alias.rebuilds")),
       alias_table_draws_(metrics_->counter("alias.table_draws")),
       alias_tree_draws_(metrics_->counter("alias.tree_draws")),
-      list_upgrades_(metrics_->counter("lottery.list_upgrades")),
       draw_cost_(metrics_->histogram("lottery.draw_cost")),
       sync_ns_(metrics_->histogram("lottery.sync_ns")),
       tree_draw_ns_(metrics_->histogram("lottery.tree_draw_ns")) {
@@ -56,7 +51,6 @@ void LotteryScheduler::OnClientValueDirty(Client* client) {
     state->dirty_pos = dirty_.size();
     dirty_.push_back(state);
   }
-  NoteDisturbance();
 }
 
 void LotteryScheduler::ClearDirty(ThreadState& state) {
@@ -114,48 +108,6 @@ void LotteryScheduler::QueueSetWeight(size_t slot, uint64_t weight) {
   }
 }
 
-// --- Speculative batching ---------------------------------------------------
-
-void LotteryScheduler::FlushBatch() {
-  if (HasLiveBatch()) {
-    batch_flushes_->Inc();
-  }
-  batch_.clear();
-  batch_next_ = 0;
-  restore_pending_ = false;
-}
-
-void LotteryScheduler::NoteDisturbance() {
-  pick_clean_ = false;
-  clean_streak_ = 0;
-  if (HasLiveBatch()) {
-    FlushBatch();
-  }
-}
-
-void LotteryScheduler::FormBatch(uint64_t total) {
-  const size_t k = options_.batch_window - 1;
-  batch_values_.resize(k);
-  batch_slots_.resize(k);
-  batch_.resize(k);
-  // Draw the next k randoms from a copy of the generator: rng_ itself stays
-  // untouched until each entry is actually served, so a flushed batch
-  // leaves no trace in the stream.
-  FastRand spec = rng_;  // lotlint: stream(scheduler)
-  for (size_t i = 0; i < k; ++i) {
-    batch_[i].pre_state = spec.state();
-    batch_values_[i] = spec.NextBelow64(total);
-    batch_[i].post_state = spec.state();
-  }
-  tree_queue_.ResolveValues(k, batch_values_.data(), batch_slots_.data());
-  for (size_t i = 0; i < k; ++i) {
-    batch_[i].value = batch_values_[i];
-    batch_[i].slot = batch_slots_[i];
-  }
-  batch_next_ = 0;
-  batch_formed_->Inc();
-}
-
 LotteryScheduler::ThreadState* LotteryScheduler::FindState(
     ThreadId id) const {
   return id < by_tid_.size() ? by_tid_[id].get() : nullptr;
@@ -168,32 +120,6 @@ LotteryScheduler::ThreadState& LotteryScheduler::StateOf(ThreadId id) {
                                 std::to_string(id));
   }
   return *state;
-}
-
-void LotteryScheduler::UpgradeListToTree() {
-  table_.AddObserver(this);
-  // Migrate every queued client, then switch; QueueAdd below must already
-  // see the tree backend so OnReady/PickNext stay consistent.
-  std::vector<Client*> queued(run_queue_.raw_order().begin(),
-                              run_queue_.raw_order().end());
-  options_.backend = RunQueueBackend::kTree;
-  for (Client* client : queued) {
-    if (client == nullptr) {
-      continue;
-    }
-    run_queue_.Remove(client);
-    ThreadState* state = OwnerOf(client);
-    if (state == nullptr) {
-      continue;
-    }
-    state->tree_slot = tree_queue_.Add(client->Value().raw_unsigned());
-    if (state->tree_slot >= tree_slot_owner_.size()) {
-      tree_slot_owner_.resize(state->tree_slot + 1, nullptr);
-    }
-    tree_slot_owner_[state->tree_slot] = state;
-    ClearDirty(*state);
-  }
-  list_upgrades_->Inc();
 }
 
 void LotteryScheduler::AddThread(ThreadId id, SimTime /*now*/) {
@@ -209,19 +135,10 @@ void LotteryScheduler::AddThread(ThreadId id, SimTime /*now*/) {
     // The list's O(n) draw is ~280x the tree's at 10k clients
     // (bench_draw_overhead baselines); past the threshold it is a
     // misconfiguration, not a trade-off.
-    if (!options_.list_upgrade_to_tree) {
-      throw std::length_error(
-          "LotteryScheduler: list backend past list_max_threads=" +
-          std::to_string(options_.list_max_threads) +
-          " clients; use RunQueueBackend::kTree (or set "
-          "list_upgrade_to_tree / list_max_threads=0)");
-    }
-    std::fprintf(stderr,
-                 "LotteryScheduler: list backend exceeded %zu threads; "
-                 "upgrading to tree backend\n",
-                 options_.list_max_threads);
-    util::SeqGuard guard(queue_seq_);
-    UpgradeListToTree();
+    throw std::length_error(
+        "LotteryScheduler: list backend past list_max_threads=" +
+        std::to_string(options_.list_max_threads) +
+        " clients; use RunQueueBackend::kTree (or list_max_threads=0)");
   }
   const std::string tag = "thread:" + std::to_string(id);
   auto owned = std::make_unique<ThreadState>(id, &table_, tag);
@@ -249,7 +166,6 @@ void LotteryScheduler::RemoveThread(ThreadId id, SimTime /*now*/) {
       util::SeqGuard guard(queue_seq_);
       QueueRemove(state.tree_slot);
       tree_slot_owner_[state.tree_slot] = nullptr;
-      NoteDisturbance();
     }
   }
   state.client.SetActive(false);
@@ -279,8 +195,7 @@ void LotteryScheduler::OnReady(ThreadId id, SimTime /*now*/) {
       run_queue_.Add(&state.client);
     } else {
       util::SeqGuard guard(queue_seq_);
-      const uint64_t weight = state.client.Value().raw_unsigned();
-      state.tree_slot = QueueAdd(weight);
+      state.tree_slot = QueueAdd(state.client.Value().raw_unsigned());
       if (state.tree_slot >= tree_slot_owner_.size()) {
         tree_slot_owner_.resize(state.tree_slot + 1, nullptr);
       }
@@ -288,15 +203,6 @@ void LotteryScheduler::OnReady(ThreadId id, SimTime /*now*/) {
       // The slot was seeded with the current value; any pending dirty mark
       // (e.g. from the unblock activation above) is already folded in.
       ClearDirty(state);
-      if (restore_pending_ && state.tree_slot == restore_slot_ &&
-          weight == restore_weight_) {
-        // The previous winner re-entered at its old slot with its old
-        // weight: the queue is back to the state any live batch was formed
-        // against, and the steady-state cycle stays "clean".
-        restore_pending_ = false;
-      } else {
-        NoteDisturbance();
-      }
     }
     state.in_queue = true;
   }
@@ -313,7 +219,6 @@ void LotteryScheduler::OnBlocked(ThreadId id, SimTime /*now*/) {
       util::SeqGuard guard(queue_seq_);
       QueueRemove(state.tree_slot);
       tree_slot_owner_[state.tree_slot] = nullptr;
-      NoteDisturbance();
     }
     state.in_queue = false;
   }
@@ -371,14 +276,6 @@ ThreadId LotteryScheduler::PickNextFromTree() {
   const bool alias_backend = options_.backend == RunQueueBackend::kAlias;
   ++num_lotteries_;
   draws_->Inc();
-  // Advance the clean-streak gate: a pick with no disturbance since the
-  // previous one extends the streak that arms speculative batching.
-  if (pick_clean_) {
-    ++clean_streak_;
-  } else {
-    clean_streak_ = 0;
-    pick_clean_ = true;
-  }
   // Sample the wall-clock sync/draw split on the histogram cadence; the
   // clock reads would otherwise dominate a tree dispatch.
   const bool timed = obs::kObsEnabled && (timing_tick_++ % 16 == 0);
@@ -432,7 +329,6 @@ ThreadId LotteryScheduler::PickNextFromTree() {
   ThreadState* winner = nullptr;
   uint64_t drawn_value = 0;
   std::optional<size_t> drawn;
-  bool batched = false;
   bool alias_table_draw = false;
   if (alias_backend) {
     drawn = alias_queue_.Draw(rng_, &drawn_value, &alias_table_draw);
@@ -446,31 +342,11 @@ ThreadId LotteryScheduler::PickNextFromTree() {
                            alias_tree_draws_seen_);
     alias_tree_draws_seen_ = alias_queue_.tree_draws();
   } else {
-    if (HasLiveBatch()) {
-      const BatchEntry& entry = batch_[batch_next_];
-      if (!restore_pending_ && rng_.state() == entry.pre_state) {
-        // Serve the pre-resolved winner: identical value, winner and RNG
-        // stream to the descent this replaces.
-        drawn_value = entry.value;
-        drawn = entry.slot;
-        rng_.SetState(entry.post_state);
-        batched = true;
-        ++batch_next_;
-        batch_draws_->Inc();
-      } else {
-        // The queue never returned to the formation state (winner came
-        // back changed) or someone else drew from rng_ in between.
-        FlushBatch();
-      }
-    }
-    if (!batched) {
-      drawn = tree_queue_.Draw(rng_, &drawn_value);
-    }
+    drawn = tree_queue_.Draw(rng_, &drawn_value);
   }
-  const size_t cost = batched || alias_table_draw
-                          ? 1
-                          : (alias_backend ? alias_queue_.draw_depth()
-                                           : tree_queue_.draw_depth());
+  const size_t cost = alias_table_draw ? 1
+                     : alias_backend  ? alias_queue_.draw_depth()
+                                      : tree_queue_.draw_depth();
   draw_cost_->RecordSampled(cost);
   if (drawn.has_value()) {
     winner = tree_slot_owner_[*drawn];
@@ -505,31 +381,13 @@ ThreadId LotteryScheduler::PickNextFromTree() {
     if (!drawn.has_value()) {
       flags |= etrace::kDecisionFallback;
     }
-    if (batched) {
-      flags |= etrace::kDecisionBatched;
-    }
     e.flags = flags;
     e.type = static_cast<uint16_t>(etrace::EventType::kDecision);
     options_.trace->Append(e);
   }
-  // Speculative batch formation happens before the winner's removal: this
-  // exact queue state is what future draws see once the winner re-enters
-  // unchanged, and any deviation (tracked via restore_pending_ / dirty
-  // marks) flushes the entries unserved.
-  if (!alias_backend && options_.batch_window >= 2 && !HasLiveBatch() &&
-      clean_streak_ >= kBatchStreakMin && drawn.has_value()) {
-    FormBatch(tree_queue_.total());
-  }
-  const uint64_t removed_weight = QueueWeight(winner->tree_slot);
   QueueRemove(winner->tree_slot);
   tree_slot_owner_[winner->tree_slot] = nullptr;
   winner->in_queue = false;
-  // Track the winner's expected re-entry whether or not a batch is live:
-  // the matching OnReady is the one queue change that keeps the
-  // steady-state cycle "clean" (and a live batch valid).
-  restore_pending_ = true;
-  restore_slot_ = winner->tree_slot;
-  restore_weight_ = removed_weight;
   compensation_.OnQuantumStart(&winner->client);
   if (timed) {
     const auto t2 = std::chrono::steady_clock::now();  // lotlint: wallclock-ok

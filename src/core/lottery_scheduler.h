@@ -51,21 +51,11 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
     // Face amount of each thread's self ticket (its claim on its own
     // currency). Any positive value works — shares are relative.
     int64_t thread_ticket_amount = 1000;
-    // Tree backend: when >= 2 and the run queue has seen no ticket
-    // mutations for a stretch of quanta, the scheduler speculatively draws
-    // the next (batch_window - 1) winners in one value-sorted sweep and
-    // serves them without a descent, flushing the batch the moment any
-    // dirty bit or structural change lands. Winner sequence and RNG stream
-    // are bit-identical to unbatched draws (draw_identity_test proves it);
-    // 0 or 1 disables batching.
-    uint32_t batch_window = 8;
-    // List backend demotion: the list's O(n) draw is ~280x the tree's at
-    // 10k clients, so past this many threads AddThread either throws or —
-    // with list_upgrade_to_tree — migrates the scheduler to the tree
-    // backend and counts lottery.list_upgrades. 0 disables the limit
-    // (benches that measure the list's scaling curve opt out).
+    // List backend limit: the list's O(n) draw is ~280x the tree's at 10k
+    // clients, so AddThread throws std::length_error past this many threads
+    // (choose kTree or kAlias instead). 0 disables the limit (benches that
+    // measure the list's scaling curve opt out).
     size_t list_max_threads = 1024;
-    bool list_upgrade_to_tree = false;
     // Alias backend tuning (rebuild hysteresis); ignored otherwise.
     AliasLottery::Options alias;
     // Metric sink; nullptr selects obs::Registry::Default(). Tests pass
@@ -170,7 +160,7 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // Draws decided by the zero-funding round-robin fallback.
   uint64_t num_zero_fallbacks() const { return num_zero_fallbacks_; }
   const ListLottery& run_queue() const { return run_queue_; }
-  // Effective backend right now (list_upgrade_to_tree can change it).
+  // The backend chosen at construction; it never changes afterwards.
   RunQueueBackend backend() const { return options_.backend; }
   // Escapes the queue_seq_ domain: hands out a reference tests/benches
   // inspect between dispatches, when no pick is in flight.
@@ -201,23 +191,6 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
     size_t dirty_pos = kNotDirty;
   };
 
-  // One speculatively pre-drawn winner. pre_state/post_state bracket the
-  // RNG stream the equivalent unbatched draw would have consumed: an entry
-  // is served only when rng_ sits exactly at pre_state, and serving it
-  // advances rng_ to post_state — so external rng() consumers (the kernel
-  // services draw jitter from the same stream) simply invalidate the batch
-  // instead of observing a perturbed generator.
-  struct BatchEntry {
-    uint64_t value = 0;  // drawn random in [0, total)
-    size_t slot = 0;     // pre-resolved winner slot
-    uint32_t pre_state = 0;
-    uint32_t post_state = 0;
-  };
-
-  // Consecutive mutation-free picks required before forming a batch, so
-  // churn-heavy phases never pay speculative descents they'd just flush.
-  static constexpr uint32_t kBatchStreakMin = 4;
-
   // Directory lookup; nullptr for ids never added or already removed.
   ThreadState* FindState(ThreadId id) const;
   // As FindState, but throws std::invalid_argument for unknown ids.
@@ -244,19 +217,6 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   size_t QueueAdd(uint64_t weight) REQUIRES(queue_seq_);
   void QueueRemove(size_t slot) REQUIRES(queue_seq_);
   void QueueSetWeight(size_t slot, uint64_t weight) REQUIRES(queue_seq_);
-
-  // Speculative batching (tree backend only).
-  bool HasLiveBatch() const { return batch_next_ < batch_.size(); }
-  void FlushBatch();
-  // Any run-queue perturbation: flush the batch and break the clean streak.
-  // Fires reentrantly (via OnClientValueDirty) from inside guarded scopes,
-  // so the batch/streak state is deliberately outside queue_seq_.
-  void NoteDisturbance();
-  void FormBatch(uint64_t total) REQUIRES(queue_seq_);
-
-  // List demotion: migrate every queued client into the tree and switch
-  // options_.backend to kTree (one-way; counts lottery.list_upgrades).
-  void UpgradeListToTree() REQUIRES(queue_seq_);
 
   // ValueObserver (registered with table_ under the tree/alias backends
   // only; the list backend's run_queue_ observes the table itself): bumps
@@ -296,21 +256,6 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   uint64_t num_zero_fallbacks_ = 0;
   uint64_t timing_tick_ = 0;
 
-  // Batching state. The steady-state dispatch cycle is pick (winner leaves
-  // the queue) -> quantum -> OnReady (winner re-enters at the same recycled
-  // slot with the same weight); restore_* tracks whether the queue has
-  // returned to the exact state a live batch was formed against, and
-  // pick_clean_ whether anything else moved between picks.
-  std::vector<BatchEntry> batch_;
-  size_t batch_next_ = 0;
-  uint32_t clean_streak_ = 0;
-  bool pick_clean_ = true;
-  bool restore_pending_ = false;
-  size_t restore_slot_ = 0;
-  uint64_t restore_weight_ = 0;
-  // Scratch for FormBatch (avoids per-batch allocations).
-  std::vector<uint64_t> batch_values_;
-  std::vector<size_t> batch_slots_;
   // Alias stats are kept by AliasLottery; deltas are mirrored into
   // counters after each draw.
   uint64_t alias_rebuilds_seen_ = 0;
@@ -325,13 +270,9 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   obs::Counter* transfers_;
   obs::Counter* leaf_updates_;
   obs::Counter* full_syncs_;
-  obs::Counter* batch_formed_;
-  obs::Counter* batch_draws_;
-  obs::Counter* batch_flushes_;
   obs::Counter* alias_rebuilds_;
   obs::Counter* alias_table_draws_;
   obs::Counter* alias_tree_draws_;
-  obs::Counter* list_upgrades_;
   obs::LatencyHistogram* draw_cost_;
   // Wall-clock split of a tree dispatch: weight sync vs the draw itself
   // (sampled 1-in-16 dispatches; see bench_smp / bench_draw_overhead).

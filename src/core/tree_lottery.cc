@@ -1,6 +1,5 @@
 #include "src/core/tree_lottery.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
@@ -121,46 +120,6 @@ size_t TreeLottery::SlotForValue(uint64_t value) const {
     node = 2 * node + static_cast<size_t>(take_right);
   }
   return node - weights_.size();  // leaf index -> 0-indexed slot
-}
-
-size_t TreeLottery::DrawBatch(FastRand& rng, size_t k,  // lotlint: stream(scheduler)
-                              uint64_t* values,
-                              size_t* slots) const {
-  if (total_ == 0 || k == 0) {
-    return 0;
-  }
-  // Identical RNG consumption to k successive Draw() calls against an
-  // unchanged tree: total_ is constant, so the bound of every NextBelow64
-  // matches what the unbatched sequence would have used.
-  for (size_t i = 0; i < k; ++i) {
-    values[i] = rng.NextBelow64(total_);
-  }
-  ResolveValues(k, values, slots);
-  return k;
-}
-
-void TreeLottery::ResolveValues(size_t k, const uint64_t* values,
-                                size_t* slots) const {
-  // Descend in ascending value order so consecutive descents walk adjacent
-  // root-to-leaf paths and share upper-level cache lines. The emitted
-  // slots[i] still pairs with values[i] (argsort, not a sort of the output).
-  constexpr size_t kStack = 32;
-  uint32_t stack_order[kStack];
-  std::vector<uint32_t> heap_order;
-  uint32_t* order = stack_order;
-  if (k > kStack) {
-    heap_order.resize(k);
-    order = heap_order.data();
-  }
-  for (size_t i = 0; i < k; ++i) {
-    order[i] = static_cast<uint32_t>(i);
-  }
-  std::sort(order, order + k, [values](uint32_t a, uint32_t b) {
-    return values[a] < values[b];
-  });
-  for (size_t i = 0; i < k; ++i) {
-    slots[order[i]] = SlotForValue(values[order[i]]);
-  }
 }
 
 }  // namespace lottery

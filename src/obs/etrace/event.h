@@ -122,9 +122,9 @@ inline constexpr uint16_t kDecisionFallback = 1u << 1;  // zero-funding RR
 // Winner came from a Walker alias table (O(1) draw). v1 is the scaled
 // alias draw, not a prefix-sum value: replay-by-prefix-sum does not apply.
 inline constexpr uint16_t kDecisionAlias = 1u << 2;
-// Winner was served from a speculative draw batch formed k quanta ago
-// (bit-identical to an unbatched draw; flag is informational).
-inline constexpr uint16_t kDecisionBatched = 1u << 3;
+// Bit 3 (1u << 3) is retired: it marked winners served from speculative
+// draw batches, which no longer exist. Old LOTETRC1 files may carry it; it
+// was informational only, so they still parse. Never reuse the bit.
 
 struct Event {
   int64_t t_ns = 0;

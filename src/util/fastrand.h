@@ -17,6 +17,7 @@
 #define SRC_UTIL_FASTRAND_H_
 
 #include <cstdint>
+#include <stdexcept>
 
 namespace lottery {
 
@@ -60,11 +61,15 @@ class FastRand {
   // Returns a uniformly distributed value in [0, bound). Uses rejection
   // sampling so every residue is exactly equally likely (a plain modulo
   // would bias small values; lotteries are fairness-sensitive).
-  // Precondition: 0 < bound <= 2^31 - 2.
+  // Throws std::out_of_range unless 0 < bound <= 2^31 - 2: a zero bound
+  // divides by zero and a larger one leaves no accepted value.
   uint32_t NextBelow(uint32_t bound) {
-    // Largest multiple of `bound` not exceeding the raw range size.
     // Raw outputs are in [1, kModulus - 1]; shift to [0, kModulus - 2].
-    const uint32_t range = kModulus - 1u;  // number of distinct raw outputs
+    constexpr uint32_t range = kModulus - 1u;  // distinct raw outputs
+    if (bound == 0 || bound > range) {
+      throw std::out_of_range("FastRand::NextBelow: bound not in [1, 2^31-2]");
+    }
+    // Largest multiple of `bound` not exceeding the raw range size.
     const uint32_t limit = range - range % bound;
     uint32_t value = Next() - 1u;
     while (value >= limit) {
@@ -83,11 +88,18 @@ class FastRand {
     return hi * (kModulus - 1u) + lo;
   }
 
+  // Number of distinct Next62() values, (M-1)^2 (~4.6e18).
+  static constexpr uint64_t kRange =
+      static_cast<uint64_t>(kModulus - 1u) * (kModulus - 1u);
+
   // Returns a uniformly distributed value in [0, bound) for 64-bit bounds.
-  // Precondition: 0 < bound <= (M-1)^2 (~4.6e18), ample for any ticket total.
+  // Throws std::out_of_range unless 0 < bound <= kRange: a ticket total past
+  // kRange would otherwise leave the rejection loop below no value to accept.
   uint64_t NextBelow64(uint64_t bound) {
-    constexpr uint64_t kRange =
-        static_cast<uint64_t>(kModulus - 1u) * (kModulus - 1u);
+    if (bound == 0 || bound > kRange) {
+      throw std::out_of_range(
+          "FastRand::NextBelow64: bound not in [1, kRange]");
+    }
     const uint64_t limit = kRange - kRange % bound;
     uint64_t value = Next62();
     while (value >= limit) {
@@ -104,14 +116,6 @@ class FastRand {
 
   // Current internal state (useful for checkpointing simulations).
   uint32_t state() const { return state_; }
-
-  // Restores a state previously captured with state(). Unlike Seed(), this
-  // is an exact inverse: SetState(s.state()) makes this generator continue
-  // the captured stream bit-for-bit (speculative draw batches rely on it).
-  void SetState(uint32_t state) {
-    state %= kModulus;
-    state_ = (state == 0) ? 1u : state;
-  }
 
   // Convenience: splits off an independent-ish child generator. The child's
   // seed is derived from this stream through a 64-bit mix (seeding the child

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "src/util/stats.h"
@@ -153,6 +154,26 @@ TEST(FastRand, NextBelow64UniformOverSmallBound) {
                                      static_cast<double>(kDraws) / kBuckets);
   EXPECT_LT(ChiSquareStatistic(observed, expected),
             ChiSquareCritical(static_cast<int>(kBuckets) - 1, 0.001));
+}
+
+// Out-of-range bounds are rejected, not looped on: past kRange the
+// rejection limit is 0 and no draw is ever accepted; 0 divides by zero.
+TEST(FastRand, NextBelowRejectsZeroAndOverRangeBounds) {
+  FastRand rng(37);
+  EXPECT_THROW(rng.NextBelow(0), std::out_of_range);
+  EXPECT_THROW(rng.NextBelow(FastRand::kModulus), std::out_of_range);
+  EXPECT_THROW(rng.NextBelow(UINT32_MAX), std::out_of_range);
+  EXPECT_LT(rng.NextBelow(FastRand::kModulus - 1u), FastRand::kModulus - 1u);
+}
+
+TEST(FastRand, NextBelow64RejectsZeroAndOverRangeBounds) {
+  FastRand rng(41);
+  EXPECT_THROW(rng.NextBelow64(0), std::out_of_range);
+  EXPECT_THROW(rng.NextBelow64(FastRand::kRange + 1), std::out_of_range);
+  EXPECT_THROW(rng.NextBelow64(UINT64_MAX), std::out_of_range);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_LT(rng.NextBelow64(FastRand::kRange), FastRand::kRange);
+  }
 }
 
 TEST(FastRand, NextUnitInHalfOpenUnitInterval) {

@@ -300,35 +300,28 @@ TEST(LotteryScheduler, ListBackendUnlimitedWhenDisabled) {
   EXPECT_EQ(sched.PickNext(SimTime::Zero()), 3u);
 }
 
-TEST(LotteryScheduler, ListBackendUpgradesToTreeUnderFlag) {
-  obs::Registry metrics;
-  LotteryScheduler::Options opts;
-  opts.backend = RunQueueBackend::kList;
-  opts.list_max_threads = 8;
-  opts.list_upgrade_to_tree = true;
-  opts.metrics = &metrics;
-  LotteryScheduler sched(opts);
-  for (int i = 0; i < 8; ++i) {
-    const ThreadId id = static_cast<ThreadId>(i + 1);
-    sched.AddThread(id, SimTime::Zero());
-    sched.OnReady(id, SimTime::Zero());
+// A runnable total past FastRand::kRange ((2^31-2)^2, ~4.6e18 raw units)
+// cannot be drawn uniformly. Four threads at 2e12 base tickets each total
+// ~8.4e18 raw units (no uint64 wrap): the draw must reject the bound rather
+// than spin in its rejection loop, on every backend (alias draws fall back
+// to its tree before a table exists).
+TEST(LotteryScheduler, PickNextRejectsTotalPastDrawRange) {
+  for (const RunQueueBackend backend :
+       {RunQueueBackend::kList, RunQueueBackend::kTree,
+        RunQueueBackend::kAlias}) {
+    obs::Registry metrics;
+    LotteryScheduler::Options opts;
+    opts.backend = backend;
+    opts.metrics = &metrics;
+    LotteryScheduler sched(opts);
+    for (ThreadId id = 1; id <= 4; ++id) {
+      sched.AddThread(id, kT0);
+      sched.FundThread(id, sched.table().base(), 2'000'000'000'000);
+      sched.OnReady(id, kT0);
+    }
+    EXPECT_THROW(sched.PickNext(kT0), std::out_of_range)
+        << "backend " << static_cast<int>(backend);
   }
-  EXPECT_EQ(sched.backend(), RunQueueBackend::kList);
-  sched.AddThread(9, SimTime::Zero());  // crosses the limit: upgrades
-  sched.OnReady(9, SimTime::Zero());
-  EXPECT_EQ(sched.backend(), RunQueueBackend::kTree);
-  EXPECT_EQ(metrics.FindCounter("lottery.list_upgrades")->value(),
-            obs::kObsEnabled ? 1u : 0u);
-  // All queued threads migrated: every one is dispatchable and proportions
-  // still follow funding (equal self-funding here -> everyone wins).
-  std::map<ThreadId, int> wins;
-  for (int i = 0; i < 900; ++i) {
-    const ThreadId winner = sched.PickNext(SimTime::Zero());
-    ASSERT_NE(winner, kInvalidThreadId);
-    ++wins[winner];
-    sched.OnReady(winner, SimTime::Zero());
-  }
-  EXPECT_EQ(wins.size(), 9u);
 }
 
 TEST(LotteryScheduler, AliasBackendProportionsFollowFunding) {
