@@ -51,22 +51,16 @@ void BM_FastRandBelow64(benchmark::State& state) {
 }
 BENCHMARK(BM_FastRandBelow64);
 
-// Fixture data for list lotteries: n clients, skewed weights (the first
-// client holds ~half the tickets, as in a typical interactive mix).
+// Fixture data for list lotteries: n entries, skewed weights (the first
+// holds ~half the tickets, as in a typical interactive mix), pushed in raw
+// Funding units as the scheduler pushes client values.
 struct ListRig {
   ListRig(size_t n, bool move_to_front) : lottery(move_to_front) {
-    clients.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      clients.push_back(std::make_unique<Client>(&table, "c"));
-      const int64_t amount =
-          (i == 0) ? static_cast<int64_t>(n) * 10 : 10;
-      clients.back()->HoldTicket(table.CreateTicket(table.base(), amount));
-      clients.back()->SetActive(true);
-      lottery.Add(clients.back().get());
+      const int64_t amount = (i == 0) ? static_cast<int64_t>(n) * 10 : 10;
+      lottery.Add(Funding::FromBase(amount).raw_unsigned());
     }
   }
-  CurrencyTable table;
-  std::vector<std::unique_ptr<Client>> clients;
   ListLottery lottery;
 };
 

@@ -9,10 +9,10 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "src/core/client.h"
-#include "src/core/currency.h"
+#include "src/core/funding.h"
 #include "src/core/list_lottery.h"
 #include "src/core/lottery_scheduler.h"
 #include "src/sim/kernel.h"
@@ -23,35 +23,34 @@ int main() {
 
   // --- Part 1: the Figure 1 lottery ---------------------------------------
   std::printf("Part 1: Figure 1's list-based lottery (tickets 10/2/5/1/2)\n");
-  CurrencyTable table;
+  // The run queue holds flat weights; the scheduler pushes each client's
+  // value in raw Funding units, and so does this example.
   ListLottery lotto;
   const int64_t amounts[] = {10, 2, 5, 1, 2};
-  std::vector<std::unique_ptr<Client>> clients;
-  for (int i = 0; i < 5; ++i) {
-    clients.push_back(
-        std::make_unique<Client>(&table, "client" + std::to_string(i + 1)));
-    clients.back()->HoldTicket(table.CreateTicket(table.base(), amounts[i]));
-    clients.back()->SetActive(true);
-    lotto.Add(clients.back().get());
+  std::vector<size_t> slots;
+  for (const int64_t amount : amounts) {
+    slots.push_back(lotto.Add(Funding::FromBase(amount).raw_unsigned()));
   }
   std::printf("total tickets: %lld\n",
-              static_cast<long long>(lotto.Total().base_units()));
+              static_cast<long long>(
+                  Funding::FromRaw(static_cast<int64_t>(lotto.total()))
+                      .base_units()));
 
   FastRand rng(20260707);
   std::vector<int> wins(5, 0);
   constexpr int kDraws = 100000;
   for (int i = 0; i < kDraws; ++i) {
-    Client* winner = lotto.Draw(rng);
-    for (size_t c = 0; c < clients.size(); ++c) {
-      if (clients[c].get() == winner) {
+    const std::optional<size_t> winner = lotto.Draw(rng);
+    for (size_t c = 0; c < slots.size(); ++c) {
+      if (slots[c] == winner) {
         ++wins[c];
       }
     }
   }
-  for (size_t c = 0; c < clients.size(); ++c) {
-    std::printf("  %s: %2lld/20 tickets -> %5.2f%% of wins (expected %5.2f%%)\n",
-                clients[c]->name().c_str(),
-                static_cast<long long>(amounts[c]),
+  for (size_t c = 0; c < slots.size(); ++c) {
+    std::printf("  client%zu: %2lld/20 tickets -> %5.2f%% of wins (expected "
+                "%5.2f%%)\n",
+                c + 1, static_cast<long long>(amounts[c]),
                 100.0 * wins[c] / kDraws,
                 100.0 * static_cast<double>(amounts[c]) / 20.0);
   }

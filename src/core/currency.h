@@ -20,8 +20,8 @@
 // marking only the currencies and clients whose value can actually change
 // (see DESIGN.md "Incremental pricing"). Registered ValueObservers hear
 // about every client whose value may have changed, which is how the
-// scheduler's tree backend and ListLottery's cached total stay in sync
-// without repricing the whole graph.
+// scheduler keeps its run-queue weights in sync without repricing the
+// whole graph.
 
 #ifndef SRC_CORE_CURRENCY_H_
 #define SRC_CORE_CURRENCY_H_

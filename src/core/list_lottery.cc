@@ -5,102 +5,73 @@
 
 namespace lottery {
 
-ListLottery::~ListLottery() {
-  if (table_ != nullptr) {
-    table_->RemoveObserver(this);
+void ListLottery::CheckSlot(size_t slot, const char* what) const {
+  if (slot >= pos_.size() || pos_[slot] == kTombstone) {
+    throw std::out_of_range(what);
   }
 }
 
-void ListLottery::Add(Client* client) {
-  if (members_.count(client) > 0) {
-    throw std::invalid_argument("ListLottery::Add: duplicate client");
+size_t ListLottery::Add(uint64_t weight) {
+  size_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = pos_.size();
+    pos_.push_back(kTombstone);
+    weight_.push_back(0);
   }
-  if (table_ == nullptr) {
-    table_ = client->table();
-    table_->AddObserver(this);
-  } else if (client->table() != table_) {
-    throw std::invalid_argument(
-        "ListLottery::Add: client belongs to a different CurrencyTable");
-  }
-  order_.push_back(client);
-  const Funding value = client->Value();
-  members_.emplace(client, Entry{order_.size() - 1, value, false});
-  total_ += value;
+  pos_[slot] = order_.size();
+  order_.push_back(slot);
+  weight_[slot] = weight;
+  total_ += weight;
+  ++live_count_;
+  return slot;
 }
 
-void ListLottery::Remove(Client* client) {
-  const auto it = members_.find(client);
-  if (it == members_.end()) {
-    throw std::invalid_argument("ListLottery::Remove: unknown client");
-  }
-  order_[it->second.index] = nullptr;
+void ListLottery::Remove(size_t slot) {
+  CheckSlot(slot, "ListLottery::Remove: bad slot");
+  order_[pos_[slot]] = kTombstone;
+  pos_[slot] = kTombstone;
+  total_ -= weight_[slot];
+  weight_[slot] = 0;
+  free_slots_.push_back(slot);
+  --live_count_;
   ++tombstones_;
-  total_ -= it->second.last;
-  // A pending dirty_members_ entry (if any) is skipped at refresh time.
-  members_.erase(it);
-  if (tombstones_ >= 8 && tombstones_ > members_.size()) {
+  if (tombstones_ >= 8 && tombstones_ > live_count_) {
     Compact();
   }
 }
 
 void ListLottery::Compact() {
   size_t out = 0;
-  for (Client* c : order_) {
-    if (c != nullptr) {
-      members_[c].index = out;
-      order_[out++] = c;
+  for (const size_t slot : order_) {
+    if (slot != kTombstone) {
+      pos_[slot] = out;
+      order_[out++] = slot;
     }
   }
   order_.resize(out);
   tombstones_ = 0;
 }
 
-bool ListLottery::Contains(const Client* client) const {
-  // The map is keyed by Client*; lookup does not mutate the client.
-  return members_.count(const_cast<Client*>(client)) > 0;
+void ListLottery::SetWeight(size_t slot, uint64_t weight) {
+  CheckSlot(slot, "ListLottery::SetWeight: bad slot");
+  total_ += weight - weight_[slot];  // wraps; additions re-wrap
+  weight_[slot] = weight;
 }
 
-Funding ListLottery::Total() const {
-  for (Client* c : dirty_members_) {
-    const auto it = members_.find(c);
-    if (it == members_.end()) {
-      continue;  // removed (or removed and re-added as a clean entry)
-    }
-    Entry& entry = it->second;
-    if (!entry.dirty) {
-      continue;
-    }
-    entry.dirty = false;
-    const Funding value = c->Value();
-    total_ += value - entry.last;
-    entry.last = value;
-  }
-  dirty_members_.clear();
-  return total_;
+uint64_t ListLottery::Weight(size_t slot) const {
+  CheckSlot(slot, "ListLottery::Weight: bad slot");
+  return weight_[slot];
 }
 
-void ListLottery::OnClientValueDirty(Client* client) {
-  const auto it = members_.find(client);
-  if (it == members_.end() || it->second.dirty) {
-    return;
+std::optional<size_t> ListLottery::Draw(FastRand& rng,  // lotlint: stream(scheduler)
+                                        uint64_t* drawn_value) {
+  if (total_ == 0) {
+    return std::nullopt;
   }
-  it->second.dirty = true;
-  dirty_members_.push_back(client);
-}
-
-Client* ListLottery::Draw(FastRand& rng,  // lotlint: stream(scheduler)
-                          uint64_t* drawn_value) {
-  if (members_.empty()) {
-    return nullptr;
-  }
-  // The total is maintained incrementally from dirty notifications, and the
-  // per-client values below come from the same caches, so the draw interval
-  // partition stays exact.
-  const Funding total = Total();
-  if (total.IsZero()) {
-    return nullptr;
-  }
-  const uint64_t winner_value = rng.NextBelow64(total.raw_unsigned());
+  const uint64_t winner_value = rng.NextBelow64(total_);
   if (drawn_value != nullptr) {
     *drawn_value = winner_value;
   }
@@ -109,49 +80,29 @@ Client* ListLottery::Draw(FastRand& rng,  // lotlint: stream(scheduler)
   uint64_t sum = 0;
   ++num_draws_;
   for (size_t i = 0; i < order_.size(); ++i) {
-    Client* candidate = order_[i];
-    if (candidate == nullptr) {
+    const size_t slot = order_[i];
+    if (slot == kTombstone) {
       continue;
     }
     ++total_scanned_;
-    sum += candidate->Value().raw_unsigned();
+    sum += weight_[slot];
     if (sum > winner_value) {
       if (move_to_front_ && i > 0) {
         // Identical semantics to list erase + push_front: the winner moves
-        // to the front, everything before it shifts back one slot.
+        // to the front, everything before it shifts back one place.
         std::rotate(order_.begin(),
                     order_.begin() + static_cast<ptrdiff_t>(i),
                     order_.begin() + static_cast<ptrdiff_t>(i) + 1);
         for (size_t j = 0; j <= i; ++j) {
-          if (order_[j] != nullptr) {
-            members_[order_[j]].index = j;
+          if (order_[j] != kTombstone) {
+            pos_[order_[j]] = j;
           }
         }
       }
-      return candidate;
+      return slot;
     }
   }
   throw std::logic_error("ListLottery::Draw: ran past end of list");
-}
-
-std::vector<Client*> ListLottery::ClientsInOrder() const {
-  std::vector<Client*> out;
-  out.reserve(members_.size());
-  for (Client* c : order_) {
-    if (c != nullptr) {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-Client* ListLottery::Front() const {
-  for (Client* c : order_) {
-    if (c != nullptr) {
-      return c;
-    }
-  }
-  return nullptr;
 }
 
 }  // namespace lottery

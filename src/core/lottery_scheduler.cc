@@ -15,8 +15,6 @@ LotteryScheduler::LotteryScheduler(Options options)
       rng_(options.seed),
       table_(options.metrics, options.trace),
       compensation_(options.compensation),
-      run_queue_(options.move_to_front),
-      alias_queue_(options.alias),
       metrics_(options.metrics != nullptr ? options.metrics
                                           : &obs::Registry::Default()),
       draws_(metrics_->counter("lottery.draws")),
@@ -31,16 +29,10 @@ LotteryScheduler::LotteryScheduler(Options options)
       draw_cost_(metrics_->histogram("lottery.draw_cost")),
       sync_ns_(metrics_->histogram("lottery.sync_ns")),
       tree_draw_ns_(metrics_->histogram("lottery.tree_draw_ns")) {
-  if (options_.backend != RunQueueBackend::kList) {
-    // The list backend needs no scheduler-side tracking: run_queue_ itself
-    // observes the table for its cached total.
-    table_.AddObserver(this);
-  }
+  table_.AddObserver(this);
 }
 
-LotteryScheduler::~LotteryScheduler() {
-  table_.RemoveObserver(this);  // no-op under the list backend
-}
+LotteryScheduler::~LotteryScheduler() { table_.RemoveObserver(this); }
 
 void LotteryScheduler::OnClientValueDirty(Client* client) {
   ++value_epoch_;
@@ -64,48 +56,127 @@ void LotteryScheduler::ClearDirty(ThreadState& state) {
   state.dirty_pos = kNotDirty;
 }
 
-// --- Tree/alias queue dispatch ---------------------------------------------
-
-bool LotteryScheduler::QueueEmpty() const {
-  return options_.backend == RunQueueBackend::kAlias ? alias_queue_.empty()
-                                                     : tree_queue_.empty();
-}
+// --- Run-queue dispatch ------------------------------------------------------
 
 size_t LotteryScheduler::QueueSize() const {
-  return options_.backend == RunQueueBackend::kAlias ? alias_queue_.size()
-                                                     : tree_queue_.size();
+  switch (options_.backend) {
+    case RunQueueBackend::kList: return list_queue_.size();
+    case RunQueueBackend::kTree: return tree_queue_.size();
+    case RunQueueBackend::kAlias: return alias_queue_.size();
+  }
+  return 0;
 }
 
 uint64_t LotteryScheduler::QueueTotal() const {
-  return options_.backend == RunQueueBackend::kAlias ? alias_queue_.total()
-                                                     : tree_queue_.total();
+  switch (options_.backend) {
+    case RunQueueBackend::kList: return list_queue_.total();
+    case RunQueueBackend::kTree: return tree_queue_.total();
+    case RunQueueBackend::kAlias: return alias_queue_.total();
+  }
+  return 0;
 }
 
 uint64_t LotteryScheduler::QueueWeight(size_t slot) const {
-  return options_.backend == RunQueueBackend::kAlias
-             ? alias_queue_.Weight(slot)
-             : tree_queue_.Weight(slot);
+  switch (options_.backend) {
+    case RunQueueBackend::kList: return list_queue_.Weight(slot);
+    case RunQueueBackend::kTree: return tree_queue_.Weight(slot);
+    case RunQueueBackend::kAlias: return alias_queue_.Weight(slot);
+  }
+  return 0;
 }
 
 size_t LotteryScheduler::QueueAdd(uint64_t weight) {
-  return options_.backend == RunQueueBackend::kAlias ? alias_queue_.Add(weight)
-                                                     : tree_queue_.Add(weight);
+  switch (options_.backend) {
+    case RunQueueBackend::kList: return list_queue_.Add(weight);
+    case RunQueueBackend::kTree: return tree_queue_.Add(weight);
+    case RunQueueBackend::kAlias: return alias_queue_.Add(weight);
+  }
+  return 0;
 }
 
 void LotteryScheduler::QueueRemove(size_t slot) {
-  if (options_.backend == RunQueueBackend::kAlias) {
-    alias_queue_.Remove(slot);
-  } else {
-    tree_queue_.Remove(slot);
+  switch (options_.backend) {
+    case RunQueueBackend::kList: list_queue_.Remove(slot); return;
+    case RunQueueBackend::kTree: tree_queue_.Remove(slot); return;
+    case RunQueueBackend::kAlias: alias_queue_.Remove(slot); return;
   }
 }
 
 void LotteryScheduler::QueueSetWeight(size_t slot, uint64_t weight) {
-  if (options_.backend == RunQueueBackend::kAlias) {
-    alias_queue_.SetWeight(slot, weight);
-  } else {
-    tree_queue_.SetWeight(slot, weight);
+  switch (options_.backend) {
+    case RunQueueBackend::kList: list_queue_.SetWeight(slot, weight); return;
+    case RunQueueBackend::kTree: tree_queue_.SetWeight(slot, weight); return;
+    case RunQueueBackend::kAlias: alias_queue_.SetWeight(slot, weight); return;
   }
+}
+
+std::optional<size_t> LotteryScheduler::QueueDraw(uint64_t* drawn_value,
+                                                  size_t* cost,
+                                                  uint16_t* flags) {
+  switch (options_.backend) {
+    case RunQueueBackend::kList: {
+      const uint64_t scanned_before = list_queue_.total_scanned();
+      const std::optional<size_t> slot = list_queue_.Draw(rng_, drawn_value);
+      *cost = list_queue_.total_scanned() - scanned_before;
+      // No draw-kind flag: the winner replays against the snapshot's list
+      // order.
+      *flags = 0;
+      return slot;
+    }
+    case RunQueueBackend::kTree:
+      *cost = tree_queue_.draw_depth();
+      *flags = etrace::kDecisionTree;
+      return tree_queue_.Draw(rng_, drawn_value);
+    case RunQueueBackend::kAlias: {
+      bool table_draw = false;
+      const std::optional<size_t> slot =
+          alias_queue_.Draw(rng_, drawn_value, &table_draw);
+      // Mirror the AliasLottery's internal stats into counters by delta.
+      alias_rebuilds_->Inc(alias_queue_.rebuilds() - alias_rebuilds_seen_);
+      alias_rebuilds_seen_ = alias_queue_.rebuilds();
+      alias_table_draws_->Inc(alias_queue_.table_draws() -
+                              alias_table_draws_seen_);
+      alias_table_draws_seen_ = alias_queue_.table_draws();
+      alias_tree_draws_->Inc(alias_queue_.tree_draws() -
+                             alias_tree_draws_seen_);
+      alias_tree_draws_seen_ = alias_queue_.tree_draws();
+      *cost = table_draw ? 1 : alias_queue_.draw_depth();
+      *flags = table_draw ? etrace::kDecisionAlias : etrace::kDecisionTree;
+      return slot;
+    }
+  }
+  return std::nullopt;
+}
+
+template <typename Fn>
+void LotteryScheduler::QueueForEach(Fn&& fn) const {
+  if (options_.backend == RunQueueBackend::kList) {
+    const std::vector<ThreadState*>& owners = slot_owner_;
+    list_queue_.ForEachInOrder(
+        [&](size_t slot, uint64_t weight) { fn(*owners[slot], weight); });
+    return;
+  }
+  for (const ThreadState* state : slot_owner_) {
+    if (state != nullptr) {
+      fn(*state, QueueWeight(state->slot));
+    }
+  }
+}
+
+size_t LotteryScheduler::QueueFallback(uint64_t* index) {
+  const uint64_t target =
+      options_.backend == RunQueueBackend::kList
+          ? 0
+          : rng_.NextBelow(static_cast<uint32_t>(QueueSize()));
+  *index = target;
+  size_t slot = 0;
+  uint64_t position = 0;
+  QueueForEach([&](const ThreadState& state, uint64_t /*weight*/) {
+    if (position++ == target) {
+      slot = state.slot;
+    }
+  });
+  return slot;
 }
 
 LotteryScheduler::ThreadState* LotteryScheduler::FindState(
@@ -147,7 +218,7 @@ void LotteryScheduler::AddThread(ThreadId id, SimTime /*now*/) {
   state.client.set_owner_record(&state);
   state.currency = table_.CreateCurrency(tag);
   state.self_ticket =
-      table_.CreateTicket(state.currency, options_.thread_ticket_amount);
+      table_.CreateTicket(state.currency, kThreadTicketAmount);
   state.client.HoldTicket(state.self_ticket);
   if (id >= by_tid_.size()) {
     by_tid_.resize(static_cast<size_t>(id) + 1);
@@ -160,13 +231,9 @@ void LotteryScheduler::AddThread(ThreadId id, SimTime /*now*/) {
 void LotteryScheduler::RemoveThread(ThreadId id, SimTime /*now*/) {
   ThreadState& state = StateOf(id);
   if (state.in_queue) {
-    if (options_.backend == RunQueueBackend::kList) {
-      run_queue_.Remove(&state.client);
-    } else {
-      util::SeqGuard guard(queue_seq_);
-      QueueRemove(state.tree_slot);
-      tree_slot_owner_[state.tree_slot] = nullptr;
-    }
+    util::SeqGuard guard(queue_seq_);
+    QueueRemove(state.slot);
+    slot_owner_[state.slot] = nullptr;
   }
   state.client.SetActive(false);
   // Unlinked first: the notifications below (the self ticket's destruction,
@@ -191,19 +258,15 @@ void LotteryScheduler::OnReady(ThreadId id, SimTime /*now*/) {
   ThreadState& state = StateOf(id);
   state.client.SetActive(true);
   if (!state.in_queue) {
-    if (options_.backend == RunQueueBackend::kList) {
-      run_queue_.Add(&state.client);
-    } else {
-      util::SeqGuard guard(queue_seq_);
-      state.tree_slot = QueueAdd(state.client.Value().raw_unsigned());
-      if (state.tree_slot >= tree_slot_owner_.size()) {
-        tree_slot_owner_.resize(state.tree_slot + 1, nullptr);
-      }
-      tree_slot_owner_[state.tree_slot] = &state;
-      // The slot was seeded with the current value; any pending dirty mark
-      // (e.g. from the unblock activation above) is already folded in.
-      ClearDirty(state);
+    util::SeqGuard guard(queue_seq_);
+    state.slot = QueueAdd(state.client.Value().raw_unsigned());
+    if (state.slot >= slot_owner_.size()) {
+      slot_owner_.resize(state.slot + 1, nullptr);
     }
+    slot_owner_[state.slot] = &state;
+    // The slot was seeded with the current value; any pending dirty mark
+    // (e.g. from the unblock activation above) is already folded in.
+    ClearDirty(state);
     state.in_queue = true;
   }
   LOT_ASSERT(state.in_queue && state.client.active(),
@@ -213,13 +276,9 @@ void LotteryScheduler::OnReady(ThreadId id, SimTime /*now*/) {
 void LotteryScheduler::OnBlocked(ThreadId id, SimTime /*now*/) {
   ThreadState& state = StateOf(id);
   if (state.in_queue) {
-    if (options_.backend == RunQueueBackend::kList) {
-      run_queue_.Remove(&state.client);
-    } else {
-      util::SeqGuard guard(queue_seq_);
-      QueueRemove(state.tree_slot);
-      tree_slot_owner_[state.tree_slot] = nullptr;
-    }
+    util::SeqGuard guard(queue_seq_);
+    QueueRemove(state.slot);
+    slot_owner_[state.slot] = nullptr;
     state.in_queue = false;
   }
   state.client.SetActive(false);
@@ -227,7 +286,7 @@ void LotteryScheduler::OnBlocked(ThreadId id, SimTime /*now*/) {
              "OnBlocked left thread " + std::to_string(id) + " competing");
 }
 
-void LotteryScheduler::SyncTreeWeights() {
+void LotteryScheduler::SyncWeights() {
   if (dirty_.empty()) {
     return;
   }
@@ -235,11 +294,11 @@ void LotteryScheduler::SyncTreeWeights() {
     // More dirty clients than queued slots: one bulk pass is cheaper than
     // per-client lookups (and covers the first sync after mass arrivals).
     full_syncs_->Inc();
-    for (ThreadState* state : tree_slot_owner_) {
+    for (ThreadState* state : slot_owner_) {
       if (state == nullptr) {
         continue;
       }
-      QueueSetWeight(state->tree_slot, state->client.Value().raw_unsigned());
+      QueueSetWeight(state->slot, state->client.Value().raw_unsigned());
     }
   } else {
     // The weights are an order-independent fold, but client.Value() emits
@@ -258,7 +317,7 @@ void LotteryScheduler::SyncTreeWeights() {
                 return a->id < b->id;
               });
     for (ThreadState* state : flush_) {
-      QueueSetWeight(state->tree_slot, state->client.Value().raw_unsigned());
+      QueueSetWeight(state->slot, state->client.Value().raw_unsigned());
       leaf_updates_->Inc();
     }
   }
@@ -268,34 +327,34 @@ void LotteryScheduler::SyncTreeWeights() {
   dirty_.clear();
 }
 
-ThreadId LotteryScheduler::PickNextFromTree() {
+ThreadId LotteryScheduler::PickNext(SimTime now) {
+  // Advance the trace's sim-time cursor: everything recorded from here to
+  // the dispatch (decisions, reprices, transfer churn) stamps this instant.
+  etrace::SetNow(options_.trace, now.nanos());
   util::SeqGuard guard(queue_seq_);
-  if (QueueEmpty()) {
+  if (QueueSize() == 0) {
     return kInvalidThreadId;
   }
-  const bool alias_backend = options_.backend == RunQueueBackend::kAlias;
-  ++num_lotteries_;
-  draws_->Inc();
   // Sample the wall-clock sync/draw split on the histogram cadence; the
-  // clock reads would otherwise dominate a tree dispatch.
+  // clock reads would otherwise dominate a dispatch.
   const bool timed = obs::kObsEnabled && (timing_tick_++ % 16 == 0);
   std::chrono::steady_clock::time_point t0;  // lotlint: wallclock-ok
   if (timed) {
     t0 = std::chrono::steady_clock::now();  // lotlint: wallclock-ok
   }
-  SyncTreeWeights();
+  SyncWeights();
 #if LOT_INVARIANTS_ENABLED
-  // Sampled O(n) sweep: the partial-sum total must equal the sum of the
-  // live slots' weights, or incremental SetWeight updates have drifted.
+  // Sampled O(n) sweep: the queue total must equal the sum of the live
+  // slots' weights, or incremental SetWeight updates have drifted.
   if (timing_tick_ % 64 == 1) {
     uint64_t weight_sum = 0;
-    for (ThreadState* s : tree_slot_owner_) {
+    for (ThreadState* s : slot_owner_) {
       if (s != nullptr) {
-        weight_sum += QueueWeight(s->tree_slot);
+        weight_sum += QueueWeight(s->slot);
       }
     }
     LOT_ASSERT(weight_sum == QueueTotal(),
-               "tree lottery: partial sums out of sync with slot weights");
+               "run queue: total out of sync with slot weights");
   }
 #endif
   std::chrono::steady_clock::time_point t1;  // lotlint: wallclock-ok
@@ -306,89 +365,64 @@ ThreadId LotteryScheduler::PickNextFromTree() {
             .count()));
   }
   // Candidate snapshot (verbose, opt-in): weights as the draw below sees
-  // them, in slot order — the prefix order SlotForValue resolves against,
-  // so each winner is re-derivable from (snapshot, random value). Alias
-  // table draws are the exception; their decision events carry
-  // kDecisionAlias so auditors skip the replay.
+  // them, in draw order — the prefix order the draw resolves against, so
+  // each winner is re-derivable from (snapshot, random value). Alias table
+  // draws are the exception; their decision events carry kDecisionAlias so
+  // auditors skip the replay.
   if (etrace::On(options_.trace, etrace::kCatLotterySnapshot)) {
     uint32_t index = 0;
-    for (size_t slot = 0; slot < tree_slot_owner_.size(); ++slot) {
-      ThreadState* state = tree_slot_owner_[slot];
-      if (state == nullptr) {
-        continue;
-      }
+    QueueForEach([&](const ThreadState& state, uint64_t weight) {
       etrace::Event e;
       e.t_ns = options_.trace->now();
-      e.a = state->id;
+      e.a = state.id;
       e.b = index++;
-      e.v1 = QueueWeight(slot);
+      e.v1 = weight;
       e.type = static_cast<uint16_t>(etrace::EventType::kCandidate);
       options_.trace->Append(e);
-    }
+    });
   }
-  ThreadState* winner = nullptr;
   uint64_t drawn_value = 0;
-  std::optional<size_t> drawn;
-  bool alias_table_draw = false;
-  if (alias_backend) {
-    drawn = alias_queue_.Draw(rng_, &drawn_value, &alias_table_draw);
-    // Mirror the AliasLottery's internal stats into counters by delta.
-    alias_rebuilds_->Inc(alias_queue_.rebuilds() - alias_rebuilds_seen_);
-    alias_rebuilds_seen_ = alias_queue_.rebuilds();
-    alias_table_draws_->Inc(alias_queue_.table_draws() -
-                            alias_table_draws_seen_);
-    alias_table_draws_seen_ = alias_queue_.table_draws();
-    alias_tree_draws_->Inc(alias_queue_.tree_draws() -
-                           alias_tree_draws_seen_);
-    alias_tree_draws_seen_ = alias_queue_.tree_draws();
-  } else {
-    drawn = tree_queue_.Draw(rng_, &drawn_value);
-  }
-  const size_t cost = alias_table_draw ? 1
-                     : alias_backend  ? alias_queue_.draw_depth()
-                                      : tree_queue_.draw_depth();
+  size_t cost = 0;
+  uint16_t flags = 0;
+  const std::optional<size_t> drawn = QueueDraw(&drawn_value, &cost, &flags);
+  // Counted only once the draw has returned: a rejected draw (a total past
+  // the RNG's range) holds no lottery and leaves the queue as it was.
+  ++num_lotteries_;
+  draws_->Inc();
   draw_cost_->RecordSampled(cost);
+  size_t winner_slot = 0;
   if (drawn.has_value()) {
-    winner = tree_slot_owner_[*drawn];
+    winner_slot = *drawn;
   } else {
-    // All ready clients have zero funding; pick arbitrarily so no one
-    // starves (uniform over the zero-funded set across draws).
-    size_t index = static_cast<size_t>(
-        rng_.NextBelow(static_cast<uint32_t>(QueueSize())));
-    drawn_value = index;  // decision event: index into live slots
-    for (ThreadState* state : tree_slot_owner_) {
-      if (state == nullptr) {
-        continue;
-      }
-      if (index-- == 0) {
-        winner = state;
-        break;
-      }
-    }
+    // All ready clients have zero funding; pick without regard to funding
+    // so no one starves.
+    winner_slot = QueueFallback(&drawn_value);
+    flags |= etrace::kDecisionFallback;
     ++num_zero_fallbacks_;
     zero_fallbacks_->Inc();
   }
-  LOT_ASSERT(winner != nullptr, "tree draw returned no winner");
+  ThreadState* winner = slot_owner_[winner_slot];
+  LOT_ASSERT(winner != nullptr, "run-queue draw returned a free slot");
   if (etrace::On(options_.trace, etrace::kCatLottery)) {
     etrace::Event e;
     e.t_ns = options_.trace->now();
     e.a = winner->id;
     e.v1 = drawn_value;
     e.v2 = QueueTotal();
-    e.v3 = QueueWeight(winner->tree_slot);
-    uint16_t flags = alias_table_draw ? etrace::kDecisionAlias
-                                      : etrace::kDecisionTree;
-    if (!drawn.has_value()) {
-      flags |= etrace::kDecisionFallback;
-    }
+    e.v3 = QueueWeight(winner_slot);
     e.flags = flags;
     e.type = static_cast<uint16_t>(etrace::EventType::kDecision);
     options_.trace->Append(e);
   }
-  QueueRemove(winner->tree_slot);
-  tree_slot_owner_[winner->tree_slot] = nullptr;
+  QueueRemove(winner_slot);
+  slot_owner_[winner_slot] = nullptr;
   winner->in_queue = false;
+  // The thread starts its next quantum: any compensation ticket expires
+  // (Section 4.5). Its tickets stay active while it runs.
   compensation_.OnQuantumStart(&winner->client);
+  LOT_ASSERT(!winner->client.has_compensation(),
+             "quantum start left a live compensation factor on " +
+                 winner->client.name());
   if (timed) {
     const auto t2 = std::chrono::steady_clock::now();  // lotlint: wallclock-ok
     tree_draw_ns_->Record(static_cast<uint64_t>(
@@ -396,80 +430,6 @@ ThreadId LotteryScheduler::PickNextFromTree() {
             .count()));
   }
   return winner->id;
-}
-
-ThreadId LotteryScheduler::PickNext(SimTime now) {
-  // Advance the trace's sim-time cursor: everything recorded from here to
-  // the dispatch (decisions, reprices, transfer churn) stamps this instant.
-  etrace::SetNow(options_.trace, now.nanos());
-  if (options_.backend != RunQueueBackend::kList) {
-    return PickNextFromTree();
-  }
-  if (run_queue_.empty()) {
-    return kInvalidThreadId;
-  }
-  ++num_lotteries_;
-  draws_->Inc();
-  // Candidate snapshot (verbose, opt-in) in list order, captured before the
-  // draw's move-to-front mutates it: the winner is the first candidate
-  // whose running value sum exceeds the drawn random value.
-  if (etrace::On(options_.trace, etrace::kCatLotterySnapshot)) {
-    uint32_t index = 0;
-    for (Client* candidate : run_queue_.raw_order()) {
-      if (candidate == nullptr) {
-        continue;
-      }
-      const ThreadState* owner = OwnerOf(candidate);
-      etrace::Event e;
-      e.t_ns = options_.trace->now();
-      e.a = owner != nullptr ? owner->id : kInvalidThreadId;
-      e.b = index++;
-      e.v1 = candidate->Value().raw_unsigned();
-      e.type = static_cast<uint16_t>(etrace::EventType::kCandidate);
-      options_.trace->Append(e);
-    }
-  }
-  const uint64_t scanned_before = run_queue_.total_scanned();
-  uint64_t drawn_value = 0;
-  Client* winner = run_queue_.Draw(rng_, &drawn_value);
-  draw_cost_->RecordSampled(run_queue_.total_scanned() - scanned_before);
-  bool fallback = false;
-  if (winner == nullptr) {
-    // Every ready client currently has zero funding (e.g. all their backing
-    // is deactivated). Degrade to round-robin so no one starves: take the
-    // front; the requeue path appends, rotating the list.
-    winner = run_queue_.Front();
-    fallback = true;
-    ++num_zero_fallbacks_;
-    zero_fallbacks_->Inc();
-  }
-  // Total/value reads below are cache hits (the draw just refreshed them);
-  // capture before Remove() deducts the winner from the cached total.
-  if (etrace::On(options_.trace, etrace::kCatLottery)) {
-    etrace::Event e;
-    e.t_ns = options_.trace->now();
-    e.v1 = drawn_value;
-    e.v2 = run_queue_.Total().raw_unsigned();
-    e.v3 = winner->Value().raw_unsigned();
-    e.flags = fallback ? etrace::kDecisionFallback : uint16_t{0};
-    e.type = static_cast<uint16_t>(etrace::EventType::kDecision);
-    const ThreadState* owner = OwnerOf(winner);
-    e.a = owner != nullptr ? owner->id : kInvalidThreadId;
-    options_.trace->Append(e);
-  }
-  run_queue_.Remove(winner);
-  ThreadState* owner = OwnerOf(winner);
-  if (owner == nullptr) {
-    throw std::logic_error("LotteryScheduler::PickNext: orphan client");
-  }
-  owner->in_queue = false;
-  // The thread starts its next quantum: any compensation ticket expires
-  // (Section 4.5). Its tickets stay active while it runs.
-  compensation_.OnQuantumStart(winner);
-  LOT_ASSERT(!winner->has_compensation(),
-             "quantum start left a live compensation factor on " +
-                 winner->name());
-  return owner->id;
 }
 
 void LotteryScheduler::OnQuantumEnd(ThreadId id, SimDuration used,
@@ -530,26 +490,17 @@ bool LotteryScheduler::IsQueued(ThreadId id) const {
 }
 
 size_t LotteryScheduler::QueuedCount() const {
-  if (options_.backend == RunQueueBackend::kList) {
-    return run_queue_.size();
-  }
   util::SeqGuard guard(queue_seq_);
   return QueueSize();
 }
 
 uint64_t LotteryScheduler::RunnableTickets() {
-  if (options_.backend == RunQueueBackend::kList) {
-    return run_queue_.Total().raw_unsigned();
-  }
   util::SeqGuard guard(queue_seq_);
-  SyncTreeWeights();
+  SyncWeights();
   return QueueTotal();
 }
 
 std::optional<uint64_t> LotteryScheduler::CleanRunnableTickets() const {
-  if (options_.backend == RunQueueBackend::kList) {
-    return std::nullopt;
-  }
   util::SeqGuard guard(queue_seq_);
   if (!dirty_.empty()) {
     return std::nullopt;
@@ -567,26 +518,12 @@ std::optional<uint64_t> LotteryScheduler::CleanThreadValue(ThreadId id) const {
 
 std::vector<std::pair<ThreadId, uint64_t>> LotteryScheduler::QueuedSnapshot() {
   std::vector<std::pair<ThreadId, uint64_t>> out;
-  if (options_.backend == RunQueueBackend::kList) {
-    for (Client* client : run_queue_.ClientsInOrder()) {
-      const ThreadState* state = OwnerOf(client);
-      if (state == nullptr) {
-        continue;
-      }
-      out.emplace_back(state->id, client->Value().raw_unsigned());
-    }
-    return out;
-  }
   util::SeqGuard guard(queue_seq_);
-  SyncTreeWeights();
+  SyncWeights();
   out.reserve(QueueSize());
-  // Slot order: small dense indices, stable between structural changes.
-  for (ThreadState* state : tree_slot_owner_) {
-    if (state == nullptr) {
-      continue;
-    }
-    out.emplace_back(state->id, QueueWeight(state->tree_slot));
-  }
+  QueueForEach([&](const ThreadState& state, uint64_t weight) {
+    out.emplace_back(state.id, weight);
+  });
   return out;
 }
 

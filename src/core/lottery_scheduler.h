@@ -4,8 +4,11 @@
 // Structure mirrors the Mach prototype (Section 4): every thread gets its
 // own currency plus a self ticket issued in it; experiments fund thread
 // currencies with tickets denominated in user/task currencies, forming the
-// currency graph of Figure 3. The run queue is the paper's list-based
-// lottery with move-to-front; compensation tickets are granted on
+// currency graph of Figure 3. The run queue holds flat weights — the
+// paper's list with move-to-front by default, its tree of partial sums, or
+// an alias table over the tree — and one pick path serves all three; the
+// scheduler observes the currency table and re-pushes the values of just
+// the clients it reports dirty. Compensation tickets are granted on
 // under-consumed quanta and cleared when the thread next starts a quantum;
 // blocked threads deactivate, which is what gives ticket transfers their
 // semantics.
@@ -46,18 +49,12 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   struct Options {
     uint32_t seed = 12345;
     RunQueueBackend backend = RunQueueBackend::kList;
-    bool move_to_front = true;
     CompensationPolicy::Options compensation;
-    // Face amount of each thread's self ticket (its claim on its own
-    // currency). Any positive value works — shares are relative.
-    int64_t thread_ticket_amount = 1000;
     // List backend limit: the list's O(n) draw is ~280x the tree's at 10k
     // clients, so AddThread throws std::length_error past this many threads
     // (choose kTree or kAlias instead). 0 disables the limit (benches that
     // measure the list's scaling curve opt out).
     size_t list_max_threads = 1024;
-    // Alias backend tuning (rebuild hysteresis); ignored otherwise.
-    AliasLottery::Options alias;
     // Metric sink; nullptr selects obs::Registry::Default(). Tests pass
     // their own registry for isolated counter assertions.
     obs::Registry* metrics = nullptr;
@@ -122,26 +119,23 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // Number of queued (ready, undispatched) threads.
   size_t QueuedCount() const;
   // Total runnable ticket value across the run queue, in raw Funding units.
-  // Incremental: the list backend returns its cached Total(); the tree/alias
-  // backends flush only the clients the currency table marked dirty since
-  // the last sync (the same dirty-propagation pass a dispatch would run).
+  // Incremental: flushes only the clients the currency table marked dirty
+  // since the last sync (the same pass a dispatch would run).
   uint64_t RunnableTickets();
-  // (thread, raw value) of every queued thread, in deterministic queue
-  // order — the candidate set for the balancer's steal lottery.
+  // (thread, raw value) of every queued thread, in the queue's draw order
+  // (move-to-front order for the list, slot order for tree and alias) —
+  // the candidate set for the balancer's steal lottery.
   std::vector<std::pair<ThreadId, uint64_t>> QueuedSnapshot();
-  // Tree/alias backends: bumped by every value-dirty notification from
-  // this scheduler's currency table (funding, activation on wake/block/add/
-  // remove, compensation, any repricing), and by nothing else: picks and
-  // requeues leave it alone. While it is unchanged, no client's value has
-  // changed, so RunnableTickets() and the ThreadValue() of a thread whose
-  // value was already read are pure reads. The SMP balancer caches on it.
-  // The list backend does not observe the table, so its epoch never moves
-  // and nothing may be cached on it.
+  // Bumped by every value-dirty notification from this scheduler's
+  // currency table (funding, activation on wake/block/add/remove,
+  // compensation, any repricing), and by nothing else: picks and requeues
+  // leave it alone. While it is unchanged, no client's value has changed,
+  // so RunnableTickets() and the ThreadValue() of a thread whose value was
+  // already read are pure reads. The SMP balancer caches on it.
   uint64_t value_epoch() const { return value_epoch_; }
   // Side-effect-free forms of RunnableTickets() and ThreadValue() for
   // integrity checks: the value the call would return, or nullopt when it
-  // would first have to flush dirty clients or reprice (and, for the queue
-  // total, always under the list backend).
+  // would first have to flush dirty clients or reprice.
   std::optional<uint64_t> CleanRunnableTickets() const;
   std::optional<uint64_t> CleanThreadValue(ThreadId id) const;
 
@@ -159,7 +153,6 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   uint64_t num_lotteries() const { return num_lotteries_; }
   // Draws decided by the zero-funding round-robin fallback.
   uint64_t num_zero_fallbacks() const { return num_zero_fallbacks_; }
-  const ListLottery& run_queue() const { return run_queue_; }
   // The backend chosen at construction; it never changes afterwards.
   RunQueueBackend backend() const { return options_.backend; }
   // Escapes the queue_seq_ domain: hands out a reference tests/benches
@@ -177,6 +170,9 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
  private:
   // Sentinel ThreadState::dirty_pos for a record not on dirty_.
   static constexpr size_t kNotDirty = static_cast<size_t>(-1);
+  // Face amount of each thread's self ticket (its claim on its own
+  // currency). Any positive value works — shares are relative.
+  static constexpr int64_t kThreadTicketAmount = 1000;
 
   struct ThreadState {
     ThreadState(ThreadId tid, CurrencyTable* table, std::string tag)
@@ -186,8 +182,8 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
     Currency* currency = nullptr;
     Ticket* self_ticket = nullptr;
     bool in_queue = false;
-    size_t tree_slot = 0;  // valid while in_queue under tree/alias backends
-    // Index into dirty_, or kNotDirty (tree/alias backends only).
+    size_t slot = 0;  // run-queue slot, valid while in_queue
+    // Index into dirty_, or kNotDirty.
     size_t dirty_pos = kNotDirty;
   };
 
@@ -201,54 +197,67 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   }
   // Takes a record off dirty_ (O(1) swap-remove); no-op when clean.
   void ClearDirty(ThreadState& state);
-  // Tree/alias backends: re-push into the partial-sum weights the values of
-  // exactly the clients the currency table reported dirty since the last
-  // sync — O(dirty · lg n) instead of O(n · lg n) per dispatch. Falls back
-  // to one full resync (tree.full_syncs) when more clients are dirty than
-  // queued.
-  void SyncTreeWeights() REQUIRES(queue_seq_);
-  ThreadId PickNextFromTree();
+  // Re-pushes into the queue's weights the values of exactly the clients
+  // the currency table reported dirty since the last sync — O(dirty) list
+  // updates or O(dirty · lg n) tree updates per dispatch instead of
+  // repricing every queued client. Falls back to one full resync
+  // (tree.full_syncs) when more clients are dirty than queued.
+  void SyncWeights() REQUIRES(queue_seq_);
 
-  // Thin dispatch over the tree/alias queue (kList never reaches these).
-  bool QueueEmpty() const REQUIRES(queue_seq_);
+  // Thin dispatch over the backend's queue: the only place the scheduler
+  // tells list, tree and alias apart.
   size_t QueueSize() const REQUIRES(queue_seq_);
   uint64_t QueueTotal() const REQUIRES(queue_seq_);
   uint64_t QueueWeight(size_t slot) const REQUIRES(queue_seq_);
   size_t QueueAdd(uint64_t weight) REQUIRES(queue_seq_);
   void QueueRemove(size_t slot) REQUIRES(queue_seq_);
   void QueueSetWeight(size_t slot, uint64_t weight) REQUIRES(queue_seq_);
+  // Holds one lottery. `drawn_value` receives the random value, `cost` the
+  // lottery.draw_cost sample (scan length for the list, descent depth for
+  // the tree, 1 for an alias table draw) and `flags` the decision event's
+  // draw-kind flags. std::nullopt when the total is zero.
+  std::optional<size_t> QueueDraw(uint64_t* drawn_value, size_t* cost,
+                                  uint16_t* flags) REQUIRES(queue_seq_);
+  // Zero-funding fallback: the list takes the front of its draw order
+  // without drawing (the requeue appends, so it rotates round-robin); tree
+  // and alias take a uniform index into their live slots. `index` receives
+  // the winner's position in draw order.
+  size_t QueueFallback(uint64_t* index) REQUIRES(queue_seq_);
+  // Calls fn(state, weight) for every queued thread in the queue's draw
+  // order.
+  template <typename Fn>
+  void QueueForEach(Fn&& fn) const REQUIRES(queue_seq_);
 
-  // ValueObserver (registered with table_ under the tree/alias backends
-  // only; the list backend's run_queue_ observes the table itself): bumps
-  // value_epoch_ and tracks dirty_.
+  // ValueObserver: bumps value_epoch_ and tracks dirty_.
   void OnClientValueDirty(Client* client) override;
 
   Options options_;
   FastRand rng_;  // lotlint: stream(scheduler)
   CurrencyTable table_;
   CompensationPolicy compensation_;
-  ListLottery run_queue_;
-  // Serialization domain for the tree/alias run queue and its slot-to-owner
-  // map: the state the SMP per-CPU partitioning must put behind a per-queue
-  // lock. PickNextFromTree holds it for the whole pick; OnReady/OnBlocked/
-  // RemoveThread enter it around their queue mutations.
+  // Serialization domain for the run queue and its slot-to-owner map: the
+  // state the SMP per-CPU partitioning must put behind a per-queue lock.
+  // PickNext holds it for the whole pick; OnReady/OnBlocked/RemoveThread
+  // enter it around their queue mutations. Only the backend's own queue is
+  // ever populated.
   mutable util::Seq queue_seq_;
+  ListLottery list_queue_ GUARDED_BY(queue_seq_);
   TreeLottery tree_queue_ GUARDED_BY(queue_seq_);
   AliasLottery alias_queue_ GUARDED_BY(queue_seq_);
   // Slot -> owning thread state, nullptr for free slots. Slots are small
-  // dense indices recycled by TreeLottery, and each ThreadState is its own
+  // dense indices recycled by the queue, and each ThreadState is its own
   // allocation with a stable address, so a flat vector of pointers makes
   // winner resolution a single indexed load (a hash map here shows up at
   // 10k clients in bench_draw_overhead's churn rig).
-  std::vector<ThreadState*> tree_slot_owner_ GUARDED_BY(queue_seq_);
+  std::vector<ThreadState*> slot_owner_ GUARDED_BY(queue_seq_);
   // ThreadId -> record. Kernel tids are dense from 1, so the directory costs
   // one pointer per id up to the largest id added.
   std::vector<std::unique_ptr<ThreadState>> by_tid_;
   size_t num_threads_ = 0;
-  // Tree/alias backends: the records whose client the currency table has
-  // reported dirty since the last sync, each listed once (dirty_pos is the
-  // membership flag). Its size is the dirty count behind the full-sync
-  // threshold. flush_ is SyncTreeWeights' scratch for the id-sorted flush.
+  // The records whose client the currency table has reported dirty since
+  // the last sync, each listed once (dirty_pos is the membership flag). Its
+  // size is the dirty count behind the full-sync threshold. flush_ is
+  // SyncWeights' scratch for the id-sorted flush.
   std::vector<ThreadState*> dirty_;
   std::vector<ThreadState*> flush_;
   uint64_t value_epoch_ = 0;
@@ -274,7 +283,7 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   obs::Counter* alias_table_draws_;
   obs::Counter* alias_tree_draws_;
   obs::LatencyHistogram* draw_cost_;
-  // Wall-clock split of a tree dispatch: weight sync vs the draw itself
+  // Wall-clock split of a dispatch: weight sync vs the draw itself
   // (sampled 1-in-16 dispatches; see bench_smp / bench_draw_overhead).
   obs::LatencyHistogram* sync_ns_;
   obs::LatencyHistogram* tree_draw_ns_;

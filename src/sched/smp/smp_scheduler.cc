@@ -217,19 +217,15 @@ uint64_t SmpScheduler::AssignedValue(int c) {
   // entry was filled: the dirty set is still empty and the running
   // thread's value cache still warm, so the recompute below would be a
   // pure read of the same sum. Picks and requeues only move value between
-  // the queue and the running thread, never changing the sum. The list
-  // backend's epoch never moves, so it is never cached.
-  const bool cacheable = sched.backend() != RunQueueBackend::kList;
-  if (cacheable && entry.epoch == epoch && entry.running == running) {
+  // the queue and the running thread, never changing the sum.
+  if (entry.epoch == epoch && entry.running == running) {
     return entry.value;
   }
   uint64_t value = sched.RunnableTickets();
   if (running != kInvalidThreadId) {
     value += sched.ThreadValue(running).raw_unsigned();
   }
-  if (cacheable) {
-    entry = ValueCacheEntry{epoch, running, value};
-  }
+  entry = ValueCacheEntry{epoch, running, value};
   return value;
 }
 

@@ -158,10 +158,9 @@ class SmpScheduler : public Scheduler {
   };
 
   // Runnable ticket value assigned to a CPU: its queue total plus the value
-  // of the thread it is currently running. Tree/alias CPUs serve it from
-  // value_cache_ until a client on the CPU is invalidated or it switches
-  // threads; a recompute syncs the queue and reads the running thread's
-  // value as before.
+  // of the thread it is currently running, served from value_cache_ until
+  // a client on the CPU is invalidated or it switches threads; a recompute
+  // syncs the queue and reads the running thread's value as before.
   uint64_t AssignedValue(int c);
 
   // Idle pull: nearest-domain victim with queued work, migrant chosen by a

@@ -612,20 +612,25 @@ struct DirtyListCase {
   RunQueueBackend backend;
   uint64_t full_syncs;
   uint64_t leaf_updates;
+  // FNV-1a over the winner ids of every dispatch, in order.
+  uint64_t winner_hash;
 };
 
 class DirtyListEdgeCases : public ::testing::TestWithParam<DirtyListCase> {
  protected:
   // One kernel dispatch cycle: pick, run `used` of a 100 ms quantum, requeue.
-  static ThreadId Dispatch(LotteryScheduler& sched, SimDuration used) {
+  ThreadId Dispatch(LotteryScheduler& sched, SimDuration used) {
     const SimTime t0 = SimTime::Zero();
     const ThreadId id = sched.PickNext(t0);
     if (id != kInvalidThreadId) {
       sched.OnQuantumEnd(id, used, SimDuration::Millis(100), t0);
       sched.OnReady(id, t0);
     }
+    winner_hash_ = (winner_hash_ ^ id) * 0x100000001b3ull;
     return id;
   }
+
+  uint64_t winner_hash_ = 0xcbf29ce484222325ull;
 };
 
 TEST_P(DirtyListEdgeCases, ChurnAndRemovalLeaveNoStaleEntries) {
@@ -736,17 +741,27 @@ TEST_P(DirtyListEdgeCases, ChurnAndRemovalLeaveNoStaleEntries) {
   EXPECT_EQ(reg.counter("tree.full_syncs")->value(), GetParam().full_syncs);
   EXPECT_EQ(reg.counter("tree.leaf_updates")->value(),
             GetParam().leaf_updates);
+  EXPECT_EQ(winner_hash_, GetParam().winner_hash)
+      << "0x" << std::hex << winner_hash_;
 }
 
-// Counts recorded while the scheduler kept its dirty set as a hash set of
-// clients.
+// Tree and alias counts recorded while the scheduler kept its dirty set as a
+// hash set of clients. The list's counts are its own weight flushes (the
+// list once kept a cached total of its own and read 0 here); every winner
+// hash was recorded before the list moved onto the scheduler's flush.
 INSTANTIATE_TEST_SUITE_P(
     Backends, DirtyListEdgeCases,
-    ::testing::Values(DirtyListCase{RunQueueBackend::kTree, 2, 19},
-                      DirtyListCase{RunQueueBackend::kAlias, 2, 19}),
+    ::testing::Values(
+        DirtyListCase{RunQueueBackend::kList, 2, 19, 0x7d7e12e50ca6e8abull},
+        DirtyListCase{RunQueueBackend::kTree, 2, 19, 0xe2e3501de77d643bull},
+        DirtyListCase{RunQueueBackend::kAlias, 2, 19, 0xe2e3501de77d643bull}),
     [](const auto& param_info) {
-      return param_info.param.backend == RunQueueBackend::kTree ? "tree"
-                                                                : "alias";
+      switch (param_info.param.backend) {
+        case RunQueueBackend::kList: return "list";
+        case RunQueueBackend::kTree: return "tree";
+        case RunQueueBackend::kAlias: return "alias";
+      }
+      return "unknown";
     });
 
 }  // namespace

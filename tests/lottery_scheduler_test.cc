@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "src/obs/histogram.h"
 #include "src/obs/registry.h"
@@ -322,6 +324,119 @@ TEST(LotteryScheduler, PickNextRejectsTotalPastDrawRange) {
     EXPECT_THROW(sched.PickNext(kT0), std::out_of_range)
         << "backend " << static_cast<int>(backend);
   }
+}
+
+// A rejected draw holds no lottery: the counts move only once a draw has
+// returned, and every thread stays queued for the next pick.
+TEST(LotteryScheduler, RejectedDrawsAreNotCounted) {
+  for (const RunQueueBackend backend :
+       {RunQueueBackend::kList, RunQueueBackend::kTree,
+        RunQueueBackend::kAlias}) {
+    SCOPED_TRACE("backend " + std::to_string(static_cast<int>(backend)));
+    obs::Registry metrics;
+    LotteryScheduler::Options opts;
+    opts.backend = backend;
+    opts.metrics = &metrics;
+    LotteryScheduler sched(opts);
+    for (ThreadId id = 1; id <= 4; ++id) {
+      sched.AddThread(id, kT0);
+      sched.FundThread(id, sched.table().base(), 2'000'000'000'000);
+      sched.OnReady(id, kT0);
+    }
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_THROW(sched.PickNext(kT0), std::out_of_range);
+    }
+    EXPECT_EQ(sched.num_lotteries(), 0u);
+    EXPECT_EQ(metrics.counter("lottery.draws")->value(), 0u);
+    EXPECT_EQ(sched.QueuedCount(), 4u);
+    for (ThreadId id = 1; id <= 4; ++id) {
+      EXPECT_TRUE(sched.IsQueued(id)) << "thread " << id;
+    }
+  }
+}
+
+// The list backend's queue total follows every kind of value change:
+// inflation, block and wake, compensation, and removal.
+TEST(LotteryScheduler, ListRunnableTicketsTrackValueChanges) {
+  LotteryScheduler::Options opts;
+  opts.backend = RunQueueBackend::kList;
+  LotteryScheduler sched(opts);
+  sched.AddThread(1, kT0);
+  sched.AddThread(2, kT0);
+  sched.AddThread(3, kT0);
+  Ticket* a = sched.FundThread(1, sched.table().base(), 10);
+  sched.FundThread(2, sched.table().base(), 30);
+  sched.FundThread(3, sched.table().base(), 5);
+  sched.OnReady(1, kT0);
+  sched.OnReady(2, kT0);
+  sched.OnReady(3, kT0);
+  const auto total = [&] {
+    return Funding::FromRaw(static_cast<int64_t>(sched.RunnableTickets()))
+        .base_units();
+  };
+  EXPECT_EQ(total(), 45);
+  sched.table().SetAmount(a, 25);
+  EXPECT_EQ(total(), 60);
+  sched.OnBlocked(2, kT0);
+  EXPECT_EQ(total(), 30);
+  sched.OnReady(2, kT0);
+  EXPECT_EQ(total(), 60);
+  // Thread 3 runs a fifth of its quantum: requeued at 5x its funding.
+  sched.OnBlocked(1, kT0);
+  sched.OnBlocked(2, kT0);
+  ASSERT_EQ(sched.PickNext(kT0), 3u);
+  EXPECT_EQ(total(), 0);
+  sched.OnQuantumEnd(3, SimDuration::Millis(20), kQuantum, kT0);
+  sched.OnReady(3, kT0);
+  sched.OnReady(1, kT0);
+  sched.OnReady(2, kT0);
+  EXPECT_EQ(total(), 25 + 30 + 25);
+  sched.RemoveThread(2, kT0);
+  EXPECT_EQ(total(), 50);
+}
+
+// A thread whose funding changes while it is blocked (worth zero) brings
+// the new value into the queue total when it wakes.
+TEST(LotteryScheduler, ListRunnableTicketsSeeMutationsWhileBlocked) {
+  LotteryScheduler::Options opts;
+  opts.backend = RunQueueBackend::kList;
+  LotteryScheduler sched(opts);
+  sched.AddThread(1, kT0);
+  Ticket* a = sched.FundThread(1, sched.table().base(), 10);
+  sched.OnReady(1, kT0);
+  sched.OnBlocked(1, kT0);
+  EXPECT_EQ(sched.RunnableTickets(), 0u);
+  sched.table().SetAmount(a, 70);
+  sched.OnReady(1, kT0);
+  EXPECT_EQ(sched.RunnableTickets(), Funding::FromBase(70).raw_unsigned());
+}
+
+// Fixed-point currency-graph values sum exactly: 1000 base split three
+// ways leaves no rounding drift between the queue total and the threads'
+// own values, before and after a reprice.
+TEST(LotteryScheduler, ListRunnableTicketsExactAcrossCurrencyGraph) {
+  LotteryScheduler::Options opts;
+  opts.backend = RunQueueBackend::kList;
+  LotteryScheduler sched(opts);
+  CurrencyTable& table = sched.table();
+  Currency* shared = table.CreateCurrency("shared");
+  table.Fund(shared, table.CreateTicket(table.base(), 1000));
+  std::vector<Ticket*> funding;
+  for (ThreadId id = 1; id <= 3; ++id) {
+    sched.AddThread(id, kT0);
+    funding.push_back(sched.FundThread(id, shared, 1));
+    sched.OnReady(id, kT0);
+  }
+  const auto manual = [&] {
+    uint64_t sum = 0;
+    for (ThreadId id = 1; id <= 3; ++id) {
+      sum += sched.ThreadValue(id).raw_unsigned();
+    }
+    return sum;
+  };
+  EXPECT_EQ(sched.RunnableTickets(), manual());
+  table.SetAmount(funding[1], 5);
+  EXPECT_EQ(sched.RunnableTickets(), manual());
 }
 
 TEST(LotteryScheduler, AliasBackendProportionsFollowFunding) {
