@@ -80,9 +80,15 @@ class Client {
   // reaches its owner with one load. Null for unowned clients.
   void set_owner_record(void* owner) { owner_record_ = owner; }
   void* owner_record() const { return owner_record_; }
+  // Set by the owner while it holds this client for a refresh, cleared when
+  // it consumes the entry. While set, the table stops notifying about this
+  // client — exactly, only while the owner is the table's one observer (see
+  // ValueObserver in currency.h).
+  void set_owner_pending(bool pending) { owner_pending_ = pending; }
 
  private:
-  friend class CurrencyTable;  // flips cache_valid_ from MarkClientDirty
+  // Flips cache_valid_ and reads owner_pending_ in MarkClientDirty.
+  friend class CurrencyTable;
 
   // Routes a local mutation through the table so registered ValueObservers
   // hear about it too.
@@ -93,6 +99,7 @@ class Client {
   std::vector<Ticket*> tickets_;
   void* owner_record_ = nullptr;
   bool active_ = false;
+  bool owner_pending_ = false;
   int64_t comp_num_ = 1;
   int64_t comp_den_ = 1;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "src/core/client.h"
 #include "src/core/invariants.h"
@@ -161,6 +160,13 @@ void CurrencyTable::PropagateDenominationChange(Currency* denom) {
   if (denom->is_base()) {
     return;  // base tickets are face value: active-amount changes are inert
   }
+  // Every target of the last walk is still marked (no TicketValue on a
+  // ticket issued here has run since), and a ticket issued or attached
+  // after that walk marked its own target on Fund/HoldTicket/activation, so
+  // this walk would mark nothing new.
+  if (denom->targets_marked_) {
+    return;
+  }
   for (Ticket* t : denom->issued_) {
     if (t->funds_ != nullptr) {
       MarkCurrencyDirty(t->funds_);
@@ -168,6 +174,7 @@ void CurrencyTable::PropagateDenominationChange(Currency* denom) {
       MarkClientDirty(t->holder_);
     }
   }
+  denom->targets_marked_ = true;
 }
 
 void CurrencyTable::MarkTicketDirty(Ticket* ticket) {
@@ -183,9 +190,13 @@ void CurrencyTable::MarkClientDirty(Client* client) {
     client->cache_valid_ = false;
     client_dirty_marks_->Inc();
   }
-  // Notify unconditionally: observers may have refreshed their copy of the
-  // client's value (rearming nothing on the client itself), so the dirty
-  // flag alone cannot gate notifications.
+  // The client's own dirty flag cannot gate notifications: observers may
+  // have refreshed their copy of the value without rearming anything on the
+  // client. Its owner's pending bit can, while the owner is the only
+  // observer (see ValueObserver).
+  if (client->owner_pending_ && observers_.size() == 1) {
+    return;
+  }
   for (ValueObserver* observer : observers_) {
     observer->OnClientValueDirty(client);
   }
@@ -207,7 +218,6 @@ Currency* CurrencyTable::CreateCurrency(const std::string& name,
   }
   TraceCurrency(trace_, etrace::EventType::kCurrencyCreate,
                 currency->trace_name_);
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
   return currency;
 }
@@ -236,7 +246,6 @@ void CurrencyTable::DestroyCurrency(Currency* currency) {
                 currency->trace_name_);
   UnlinkCurrency(currency);
   currency_pool_.Delete(currency);
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
 }
 
@@ -258,7 +267,6 @@ void CurrencyTable::RetireCurrency(Currency* currency) {
   currency->retired_ = true;
   TraceCurrency(trace_, etrace::EventType::kCurrencyRetire,
                 currency->trace_name_);
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
 }
 
@@ -281,7 +289,6 @@ Ticket* CurrencyTable::CreateTicket(Currency* denomination, int64_t amount,
   LinkTicket(ticket);
   denomination->issued_.push_back(ticket);
   denomination->issued_amount_ += amount;
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
   return ticket;
 }
@@ -307,7 +314,6 @@ void CurrencyTable::DestroyTicket(Ticket* ticket) {
     // already empty, so this is a plain erase).
     DestroyCurrency(denom);
   }
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
 }
 
@@ -330,7 +336,6 @@ void CurrencyTable::SetAmount(Ticket* ticket, int64_t amount) {
     AddActiveAmount(ticket->denomination_, delta);
     MarkTicketDirty(ticket);
   }
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
 }
 
@@ -362,7 +367,6 @@ void CurrencyTable::Fund(Currency* target, Ticket* ticket) {
   TraceCurrency(trace_, etrace::EventType::kFund, target->trace_name_,
                 static_cast<uint64_t>(ticket->amount_), 0,
                 static_cast<uint32_t>(ticket->id_));
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
 }
 
@@ -380,7 +384,6 @@ void CurrencyTable::Unfund(Ticket* ticket) {
   TraceCurrency(trace_, etrace::EventType::kUnfund, target->trace_name_,
                 static_cast<uint64_t>(ticket->amount_), 0,
                 static_cast<uint32_t>(ticket->id_));
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
 }
 
@@ -412,10 +415,15 @@ Funding CurrencyTable::CurrencyValueUncached(const Currency* currency) const {
 }
 
 Funding CurrencyTable::TicketValue(const Ticket* ticket) const {
+  const Currency* denom = ticket->denomination_;
+  // Whatever is reading this ticket (its funded currency or its holder) is
+  // revalidating, so the denomination's targets are no longer all marked;
+  // cleared before the inactive return because an inactive ticket's reader
+  // revalidates too.
+  denom->targets_marked_ = false;
   if (!ticket->active_) {
     return Funding::Zero();
   }
-  const Currency* denom = ticket->denomination_;
   if (denom->is_base()) {
     return Funding::FromBase(ticket->amount_);
   }
@@ -462,7 +470,6 @@ void CurrencyTable::ActivateTicket(Ticket* ticket) {
   // an explicit mark (a base ticket flipping active changes its value from
   // zero to face value even though the base itself never reprices).
   MarkTicketDirty(ticket);
-  BumpEpoch();
 }
 
 void CurrencyTable::DeactivateTicket(Ticket* ticket) {
@@ -472,7 +479,6 @@ void CurrencyTable::DeactivateTicket(Ticket* ticket) {
   ticket->active_ = false;
   AddActiveAmount(ticket->denomination_, -ticket->amount_);
   MarkTicketDirty(ticket);
-  BumpEpoch();
 }
 
 void CurrencyTable::AddActiveAmount(Currency* currency, int64_t delta) {
@@ -505,21 +511,32 @@ bool CurrencyTable::Reaches(const Currency* from, const Currency* to) const {
   if (from == to) {
     return true;
   }
-  // Iterative DFS with a visited set: diamond-shaped graphs have
-  // exponentially many paths but only linearly many nodes.
-  std::unordered_set<const Currency*> visited;
-  std::vector<const Currency*> stack{from};
-  visited.insert(from);
-  while (!stack.empty()) {
-    const Currency* cur = stack.back();
-    stack.pop_back();
+  // Iterative DFS with visit stamps: diamond-shaped graphs have
+  // exponentially many paths but only linearly many nodes. A fresh stamp
+  // unmarks every currency at once; on wrap, stale stamps could collide
+  // with the new ones, so they are all reset first.
+  if (++reach_stamp_ == 0) {
+    for (const Currency* c = currencies_head_; c != nullptr;
+         c = c->list_next_) {
+      c->visit_stamp_ = 0;
+    }
+    reach_stamp_ = 1;
+  }
+  const uint32_t stamp = reach_stamp_;
+  reach_stack_.clear();
+  reach_stack_.push_back(from);
+  from->visit_stamp_ = stamp;
+  while (!reach_stack_.empty()) {
+    const Currency* cur = reach_stack_.back();
+    reach_stack_.pop_back();
     for (const Ticket* t : cur->backing_) {
       const Currency* next = t->denomination_;
       if (next == to) {
         return true;
       }
-      if (visited.insert(next).second) {
-        stack.push_back(next);
+      if (next->visit_stamp_ != stamp) {
+        next->visit_stamp_ = stamp;
+        reach_stack_.push_back(next);
       }
     }
   }

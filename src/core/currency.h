@@ -51,10 +51,22 @@ class TraceBuffer;
 class Client;
 
 // Hook for components that cache values derived from client values (run
-// queues, schedulers). OnClientValueDirty fires for every client whose value
-// may have changed, possibly more than once per mutation — observers must
+// queues, schedulers). OnClientValueDirty fires for a client whose value may
+// have changed, possibly more than once per mutation — observers must
 // deduplicate and must not mutate the CurrencyTable reentrantly. Refreshing
-// the value (Client::Value) is deferred to the observer's convenience.
+// the value (Client::Value) is deferred to the observer's convenience. Once
+// a client has been reported through a currency it holds tickets in,
+// further changes arriving through that currency may go unreported until
+// something reads the client's value again; an observer that caches the
+// value has read it, so it hears about the next change.
+//
+// Nor is a client its owner holds pending re-reported: an observer that owns
+// a client (Client::set_owner_record) sets Client::set_owner_pending when it
+// queues the client for a refresh and clears it when it consumes the entry,
+// and while the table has that one observer it skips notifying about a
+// pending client — the observer would drop the call as a duplicate. The
+// table honours the bit only while it has a single observer, so a second
+// one turns the gate off and hears about every client.
 class ValueObserver {
  public:
   virtual ~ValueObserver() = default;
@@ -117,11 +129,20 @@ class Currency {
   // a mutation can change this currency's value (CurrencyTable::
   // MarkCurrencyDirty) and cleared when CurrencyValue recomputes.
   mutable bool value_dirty_ = true;
+  // Fan-out memo for PropagateDenominationChange: set by its walk over
+  // issued_, when every ticket's target has just been marked, and cleared
+  // by TicketValue on any ticket issued here. Every revalidation of a
+  // target reads through TicketValue, so while the bit is set each target
+  // is still marked and a repeat walk would mark nothing.
+  mutable bool targets_marked_ = false;
   mutable Funding cached_value_{};
 
   // Interned name id in the table's TraceBuffer (0 when not tracing), so
   // reprice events on the draw path never touch the intern map.
   uint32_t trace_name_ = 0;
+  // CurrencyTable::Reaches' visited mark: equal to the table's current
+  // stamp iff this currency was visited by the running search.
+  mutable uint32_t visit_stamp_ = 0;
 
   // Intrusive creation-order list maintained by CurrencyTable (slab-pool
   // allocation; O(1) unlink on destroy; base stays at the head).
@@ -216,11 +237,6 @@ class CurrencyTable {
   // with no active issued amount has rate 0.
   double ExchangeRate(const Currency* currency) const;  // lotlint: float-ok
 
-  // Mutation epoch; bumps on any change that can affect values. Purely
-  // informational (tests and introspection); caching is driven by the
-  // per-node dirty bits, not by this counter.
-  uint64_t epoch() const { return epoch_; }
-
   // --- Change notification --------------------------------------------------
 
   // Registers/unregisters an observer notified whenever a client's value may
@@ -256,14 +272,21 @@ class CurrencyTable {
 
  private:
   friend class Client;
+  // Drives the cycle check's visit stamp to its wrap (tests/currency_test.cc).
+  friend class CurrencyTableTestPeer;
 
   // Activation propagation (Section 4.4). Activate/Deactivate flip one
   // ticket and cascade along backing edges through AddActiveAmount.
   void ActivateTicket(Ticket* ticket);
   void DeactivateTicket(Ticket* ticket);
+  // Adds `delta` to `currency`'s active amount, cascading activation to its
+  // backing tickets when the sum crosses zero, and propagates the new
+  // denominator to every target of a ticket issued in `currency`. The
+  // propagation is a no-op while those targets are all still marked from
+  // the previous walk (Currency::targets_marked_), which is what keeps the
+  // create/fund/destroy churn of a transfer from re-walking a busy
+  // currency's issued tickets on every step.
   void AddActiveAmount(Currency* currency, int64_t delta);
-
-  void BumpEpoch() { ++epoch_; }
 
   // --- Dirty propagation (see DESIGN.md "Incremental pricing") -------------
   //
@@ -279,20 +302,25 @@ class CurrencyTable {
   // first set and cannot have revalidated without clearing this bit too.
   void MarkCurrencyDirty(Currency* currency);
   // Propagates a change of `denom`'s value or active amount to the
-  // currencies/clients funded by tickets issued in `denom`.
+  // currencies/clients funded by tickets issued in `denom`. Skipped while
+  // `denom->targets_marked_` says its last walk's marks all still stand;
+  // the same early exit MarkCurrencyDirty takes at a dirty currency.
   void PropagateDenominationChange(Currency* denom);
   // Marks whatever `ticket` directly feeds (the currency it funds or the
   // client holding it).
   void MarkTicketDirty(Ticket* ticket);
-  // Invalidates a client's cached value and notifies observers. Called by
+  // Invalidates a client's cached value and notifies observers, unless the
+  // client's owner already holds it pending (see ValueObserver). Called by
   // propagation and by Client for its local mutations (hold/release,
   // activation, compensation).
   void MarkClientDirty(Client* client);
   void NoteClientReprice() const;
 
   // True if `from` can reach `to` following backing edges (from's backing
-  // tickets' denominations, transitively). Iterative with a visited set so
-  // diamond-shaped graphs stay linear in edges, not exponential in depth.
+  // tickets' denominations, transitively): the cycle check behind every
+  // Fund. Iterative over reach_stack_, with visited currencies marked by
+  // stamping them with a fresh reach_stamp_, so diamond-shaped graphs stay
+  // linear in edges and a warm check allocates nothing.
   bool Reaches(const Currency* from, const Currency* to) const;
 
   Funding CurrencyValueUncached(const Currency* currency) const;
@@ -319,9 +347,13 @@ class CurrencyTable {
   std::unordered_map<std::string, Currency*> currency_by_name_;
   Currency* base_;
   std::string superuser_ = "root";
-  uint64_t epoch_ = 1;
   uint64_t next_ticket_id_ = 1;
   std::vector<ValueObserver*> observers_;
+  // Reaches' scratch: the DFS stack (kept for its capacity) and the stamp
+  // of the running search. 0 is never a live stamp; when the counter wraps,
+  // every currency's visit_stamp_ is reset to 0 first.
+  mutable std::vector<const Currency*> reach_stack_;
+  mutable uint32_t reach_stamp_ = 0;
 
   etrace::TraceBuffer* trace_;
 

@@ -59,9 +59,20 @@ class Funding {
     return *this;
   }
 
-  // Exact (value * num) / den with 128-bit intermediate, truncating.
-  // Used for the per-level share computation and for compensation factors.
+  // Exact (value * num) / den, truncating toward zero. Used for the
+  // per-level share computation and for compensation factors. A unit ratio
+  // is the identity; a product that fits in 64 bits divides in 64 bits
+  // (same truncation, same quotient; den == -1 is excluded because
+  // INT64_MIN / -1 traps there); anything else takes the 128-bit
+  // intermediate.
   constexpr Funding ScaleBy(int64_t num, int64_t den) const {
+    if (num == den) {
+      return *this;
+    }
+    int64_t product = 0;
+    if (!__builtin_mul_overflow(raw_, num, &product) && den != -1) {
+      return Funding(product / den);
+    }
     const __int128 wide = static_cast<__int128>(raw_) * num;
     return Funding(static_cast<int64_t>(wide / den));
   }

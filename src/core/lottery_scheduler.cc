@@ -42,6 +42,9 @@ void LotteryScheduler::OnClientValueDirty(Client* client) {
   if (state != nullptr && state->dirty_pos == kNotDirty) {
     state->dirty_pos = dirty_.size();
     dirty_.push_back(state);
+    // The table stops notifying about this client until the next sync or
+    // ClearDirty consumes it.
+    client->set_owner_pending(true);
   }
 }
 
@@ -54,6 +57,7 @@ void LotteryScheduler::ClearDirty(ThreadState& state) {
   last->dirty_pos = state.dirty_pos;
   dirty_.pop_back();
   state.dirty_pos = kNotDirty;
+  state.client.set_owner_pending(false);
 }
 
 // --- Run-queue dispatch ------------------------------------------------------
@@ -85,7 +89,17 @@ uint64_t LotteryScheduler::QueueWeight(size_t slot) const {
   return 0;
 }
 
+void LotteryScheduler::CheckTotalFits(uint64_t old_weight,
+                                      uint64_t weight) const {
+  uint64_t total = 0;
+  if (__builtin_add_overflow(QueueTotal() - old_weight, weight, &total)) {
+    throw std::overflow_error(
+        "LotteryScheduler: run-queue ticket total past 2^64 raw units");
+  }
+}
+
 size_t LotteryScheduler::QueueAdd(uint64_t weight) {
+  CheckTotalFits(0, weight);
   switch (options_.backend) {
     case RunQueueBackend::kList: return list_queue_.Add(weight);
     case RunQueueBackend::kTree: return tree_queue_.Add(weight);
@@ -103,6 +117,7 @@ void LotteryScheduler::QueueRemove(size_t slot) {
 }
 
 void LotteryScheduler::QueueSetWeight(size_t slot, uint64_t weight) {
+  CheckTotalFits(QueueWeight(slot), weight);
   switch (options_.backend) {
     case RunQueueBackend::kList: list_queue_.SetWeight(slot, weight); return;
     case RunQueueBackend::kTree: tree_queue_.SetWeight(slot, weight); return;
@@ -256,10 +271,24 @@ void LotteryScheduler::RemoveThread(ThreadId id, SimTime /*now*/) {
 
 void LotteryScheduler::OnReady(ThreadId id, SimTime /*now*/) {
   ThreadState& state = StateOf(id);
+  const bool was_active = state.client.active();
+  const bool was_dirty = state.dirty_pos != kNotDirty;
   state.client.SetActive(true);
   if (!state.in_queue) {
     util::SeqGuard guard(queue_seq_);
-    state.slot = QueueAdd(state.client.Value().raw_unsigned());
+    try {
+      state.slot = QueueAdd(state.client.Value().raw_unsigned());
+    } catch (const std::overflow_error&) {
+      // The thread stays out of the queue, as inactive and as clean as it
+      // came in.
+      if (!was_active) {
+        state.client.SetActive(false);
+      }
+      if (!was_dirty) {
+        ClearDirty(state);
+      }
+      throw;
+    }
     if (state.slot >= slot_owner_.size()) {
       slot_owner_.resize(state.slot + 1, nullptr);
     }
@@ -323,6 +352,7 @@ void LotteryScheduler::SyncWeights() {
   }
   for (ThreadState* state : dirty_) {
     state->dirty_pos = kNotDirty;
+    state->client.set_owner_pending(false);
   }
   dirty_.clear();
 }

@@ -131,7 +131,10 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // compensation, any repricing), and by nothing else: picks and requeues
   // leave it alone. While it is unchanged, no client's value has changed,
   // so RunnableTickets() and the ThreadValue() of a thread whose value was
-  // already read are pure reads. The SMP balancer caches on it.
+  // already read are pure reads. The SMP balancer caches on it. A client
+  // already pending on dirty_ is not re-notified, but its first
+  // notification bumped the epoch after the last sync, and every sync
+  // (which any cached reading follows) consumes all pending clients.
   uint64_t value_epoch() const { return value_epoch_; }
   // Side-effect-free forms of RunnableTickets() and ThreadValue() for
   // integrity checks: the value the call would return, or nullopt when it
@@ -209,9 +212,13 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   size_t QueueSize() const REQUIRES(queue_seq_);
   uint64_t QueueTotal() const REQUIRES(queue_seq_);
   uint64_t QueueWeight(size_t slot) const REQUIRES(queue_seq_);
+  // QueueAdd and QueueSetWeight throw std::overflow_error, leaving the
+  // queue untouched, when the new total would pass 2^64 raw units.
   size_t QueueAdd(uint64_t weight) REQUIRES(queue_seq_);
   void QueueRemove(size_t slot) REQUIRES(queue_seq_);
   void QueueSetWeight(size_t slot, uint64_t weight) REQUIRES(queue_seq_);
+  void CheckTotalFits(uint64_t old_weight, uint64_t weight) const
+      REQUIRES(queue_seq_);
   // Holds one lottery. `drawn_value` receives the random value, `cost` the
   // lottery.draw_cost sample (scan length for the list, descent depth for
   // the tree, 1 for an alias table draw) and `flags` the decision event's

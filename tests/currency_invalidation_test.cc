@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,6 +85,72 @@ void ExpectMatchesBruteForce(const CurrencyTable& table,
     const Funding cached = c->Value();
     ASSERT_EQ(cached.raw(), BruteClientValue(*c).raw())
         << context << ": stale value for client " << c->name();
+  }
+}
+
+// --- Repeated denomination changes without reads -------------------------
+//
+// A denomination whose last walk's marks all still stand skips its next
+// walk (Currency::targets_marked_). Change one denomination, attach a new
+// downstream path to it, change it again — no value read in between — and
+// then read each downstream path first in turn: whichever reader comes
+// first, every value must equal the brute-force one, and a third change
+// after the reads must be walked again.
+TEST(RepeatedDenominationChange, EveryDownstreamPathStaysGroundTrue) {
+  constexpr int kReaders = 6;
+  for (int first = 0; first < kReaders; ++first) {
+    SCOPED_TRACE("first reader " + std::to_string(first));
+    CurrencyTable table;
+    Currency* alice = table.CreateCurrency("alice");
+    Currency* task1 = table.CreateCurrency("task1");
+    Currency* task2 = table.CreateCurrency("task2");
+    Ticket* alice_base = table.CreateTicket(table.base(), 3000);
+    table.Fund(alice, alice_base);
+    Ticket* task1_ticket = table.CreateTicket(alice, 100);
+    table.Fund(task1, task1_ticket);
+    table.Fund(task2, table.CreateTicket(alice, 200));
+    // Clients below a funded currency, and one holding alice directly.
+    Client c1(&table, "c1");
+    c1.HoldTicket(table.CreateTicket(task1, 500));
+    Client c2(&table, "c2");
+    c2.HoldTicket(table.CreateTicket(task2, 300));
+    Client direct(&table, "direct");
+    direct.HoldTicket(table.CreateTicket(alice, 50));
+    Client c3(&table, "c3");
+    c1.SetActive(true);
+    c2.SetActive(true);
+    direct.SetActive(true);
+    c3.SetActive(true);
+    std::vector<Client*> clients = {&c1, &c2, &direct, &c3};
+    ExpectMatchesBruteForce(table, clients, "warm");
+
+    // First change: alice's active amount moves; its walk marks task1,
+    // task2 and `direct`.
+    table.SetAmount(task1_ticket, 400);
+    // A path funded after the first change: task3, backed by a new alice
+    // ticket, held through by c3. Activating it changes alice's active
+    // amount again while every earlier target is still marked.
+    Currency* task3 = table.CreateCurrency("task3");
+    table.Fund(task3, table.CreateTicket(alice, 100));
+    c3.HoldTicket(table.CreateTicket(task3, 10));
+    // Second change, to alice's value this time.
+    table.SetAmount(alice_base, 5000);
+
+    const std::vector<std::function<void()>> readers = {
+        [&] { (void)c1.Value(); },
+        [&] { (void)c2.Value(); },
+        [&] { (void)direct.Value(); },
+        [&] { (void)c3.Value(); },
+        [&] { (void)table.CurrencyValue(task3); },
+        [&] { (void)table.CurrencyValue(task1); },
+    };
+    readers[static_cast<size_t>(first)]();
+    ExpectMatchesBruteForce(table, clients, "after two changes");
+
+    // Every path has been read, so a third change must walk again.
+    table.SetAmount(alice_base, 700);
+    readers[static_cast<size_t>(first)]();
+    ExpectMatchesBruteForce(table, clients, "after the third change");
   }
 }
 
@@ -518,6 +585,32 @@ TEST(ValueObserverTest, NotifiedOnEveryValueAffectingMutation) {
   obs.notified.clear();
   table.SetAmount(backing, 500);
   EXPECT_TRUE(obs.notified.empty());
+}
+
+// The scheduler stops being re-notified about a client it already holds
+// pending, but only while it is the table's one observer: a second
+// observer hears about every mutation.
+TEST(ValueObserverTest, SecondObserverTurnsTheOwnerGateOff) {
+  LotteryScheduler sched;
+  const SimTime t0 = SimTime::Zero();
+  sched.AddThread(1, t0);
+  sched.FundThread(1, sched.table().base(), 100);
+  sched.OnReady(1, t0);
+  RecordingObserver obs;
+  sched.table().AddObserver(&obs);
+  Client* client = sched.client(1);
+  // The first grant puts the client on the scheduler's dirty list...
+  client->SetCompensation(2, 1);
+  ASSERT_EQ(obs.notified.size(), 1u);
+  // ...and the second, with the client still pending there, must still
+  // reach the other observer.
+  obs.notified.clear();
+  client->SetCompensation(3, 1);
+  ASSERT_EQ(obs.notified.size(), 1u);
+  EXPECT_EQ(obs.notified.front(), client);
+  sched.table().RemoveObserver(&obs);
+  EXPECT_EQ(sched.ThreadValue(1).base_units(), 300);
+  EXPECT_EQ(sched.RunnableTickets(), sched.ThreadValue(1).raw_unsigned());
 }
 
 // --- Scheduler steady state: no full syncs under compensation churn ---------

@@ -5,9 +5,25 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "src/core/client.h"
 
 namespace lottery {
+
+// Friend of CurrencyTable; moves the cycle check's visit stamp.
+class CurrencyTableTestPeer {
+ public:
+  static void SetReachStamp(CurrencyTable& table, uint32_t stamp) {
+    table.reach_stamp_ = stamp;
+  }
+  static uint32_t ReachStamp(const CurrencyTable& table) {
+    return table.reach_stamp_;
+  }
+};
+
 namespace {
 
 TEST(CurrencyTable, StartsWithBaseCurrency) {
@@ -147,6 +163,49 @@ TEST(CurrencyTable, CycleCheckSurvivesDeepDiamondGraph) {
   Currency* bottom = table.FindCurrency("l0a");
   Ticket* back = table.CreateTicket(top, 1);
   EXPECT_THROW(table.Fund(bottom, back), std::invalid_argument);
+}
+
+TEST(CurrencyTable, CycleCheckRejectsBackEdgesAcrossStampWrap) {
+  // A chain c0 <- c1 <- ... <- c4, each funded by a ticket issued in the
+  // previous one. Building it runs one cycle check per Fund, and the last
+  // check leaves c0..c3 stamped with the then-current stamp s.
+  CurrencyTable table;
+  std::vector<Currency*> chain;
+  for (int i = 0; i < 5; ++i) {
+    chain.push_back(table.CreateCurrency("c" + std::to_string(i)));
+  }
+  table.Fund(chain[0], table.CreateTicket(table.base(), 10));
+  for (int i = 1; i < 5; ++i) {
+    table.Fund(chain[i], table.CreateTicket(chain[i - 1], 10));
+  }
+  const uint32_t stale = CurrencyTableTestPeer::ReachStamp(table);
+  ASSERT_GT(stale, 1u);
+  // Jump to the end of the stamp range, then run checks that touch only
+  // the base until the counter, wrapped, sits just below the chain's stale
+  // stamp: the next check runs with a stamp equal to it, and would skip
+  // c0..c3 as already visited had the wrap not reset them.
+  CurrencyTableTestPeer::SetReachStamp(table,
+                                       std::numeric_limits<uint32_t>::max());
+  Currency* side = table.CreateCurrency("side");
+  for (int guard = 0; CurrencyTableTestPeer::ReachStamp(table) != stale - 1;
+       ++guard) {
+    ASSERT_LT(guard, 8) << "stamp did not wrap";
+    table.Fund(side, table.CreateTicket(table.base(), 1));
+  }
+  // Back edges from every later link to every earlier one are refused,
+  // the longest first: c0 <- c4 must walk c3..c1, which carry the stale
+  // stamp...
+  for (int to = 0; to < 4; ++to) {
+    for (int from = 4; from > to; --from) {
+      EXPECT_THROW(table.Fund(chain[static_cast<size_t>(to)],
+                              table.CreateTicket(
+                                  chain[static_cast<size_t>(from)], 1)),
+                   std::invalid_argument)
+          << "c" << to << " <- c" << from;
+    }
+  }
+  // ...and a forward edge is still accepted.
+  table.Fund(chain[4], table.CreateTicket(chain[0], 1));
 }
 
 TEST(CurrencyTable, DestroyCurrencyRequiresNoIssuedTickets) {
@@ -324,7 +383,7 @@ TEST(CurrencyValues, Figure3Example) {
   EXPECT_EQ(table.CurrencyValue(task2).base_units(), 2000 * 200 / 300);
 }
 
-TEST(CurrencyValues, EpochMemoizationInvalidatesOnChange) {
+TEST(CurrencyValues, CachedValueFollowsSetAmountThroughDirtyBit) {
   CurrencyTable table;
   Currency* a = table.CreateCurrency("a");
   Ticket* backing = table.CreateTicket(table.base(), 100);
@@ -334,10 +393,19 @@ TEST(CurrencyValues, EpochMemoizationInvalidatesOnChange) {
   c.HoldTicket(held);
   c.SetActive(true);
   EXPECT_EQ(c.Value().base_units(), 100);
-  const uint64_t epoch_before = table.epoch();
+  EXPECT_TRUE(c.value_cached());
+  // Inflating a's backing marks a dirty and, through the ticket issued in
+  // a, the client; both caches refill with the new value on the next read.
   table.SetAmount(backing, 500);
-  EXPECT_GT(table.epoch(), epoch_before);
+  EXPECT_FALSE(c.value_cached());
   EXPECT_EQ(c.Value().base_units(), 500);
+  EXPECT_TRUE(c.value_cached());
+  EXPECT_EQ(table.CurrencyValue(a).base_units(), 500);
+  // A second change after the read must be seen too: the first walk's
+  // marks were consumed by that read.
+  table.SetAmount(backing, 70);
+  EXPECT_FALSE(c.value_cached());
+  EXPECT_EQ(c.Value().base_units(), 70);
 }
 
 TEST(CurrencyValues, PotentialValueForInactiveTicket) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -323,6 +325,77 @@ TEST(LotteryScheduler, PickNextRejectsTotalPastDrawRange) {
     }
     EXPECT_THROW(sched.PickNext(kT0), std::out_of_range)
         << "backend " << static_cast<int>(backend);
+  }
+}
+
+// A queue total past 2^64 raw units is refused where it would arise: four
+// threads at 5e12 base tickets each (2^20 raw units per ticket) sum past
+// 2^64, so the fourth wake throws instead of wrapping the total, and no
+// pick is ever made on a wrapped total.
+TEST(LotteryScheduler, WakeRejectsTotalPast64Bits) {
+  for (const RunQueueBackend backend :
+       {RunQueueBackend::kList, RunQueueBackend::kTree,
+        RunQueueBackend::kAlias}) {
+    SCOPED_TRACE("backend " + std::to_string(static_cast<int>(backend)));
+    obs::Registry metrics;
+    LotteryScheduler::Options opts;
+    opts.backend = backend;
+    opts.metrics = &metrics;
+    LotteryScheduler sched(opts);
+    for (ThreadId id = 1; id <= 4; ++id) {
+      sched.AddThread(id, kT0);
+      sched.FundThread(id, sched.table().base(), 5'000'000'000'000);
+    }
+    for (ThreadId id = 1; id <= 3; ++id) {
+      sched.OnReady(id, kT0);
+    }
+    const uint64_t total = sched.RunnableTickets();
+    EXPECT_THROW(sched.OnReady(4, kT0), std::overflow_error);
+    // The refused thread is left as it came: unqueued and inactive; the
+    // queue and its total are untouched and nothing is pending a sync.
+    EXPECT_FALSE(sched.IsQueued(4));
+    EXPECT_FALSE(sched.client(4)->active());
+    EXPECT_EQ(sched.QueuedCount(), 3u);
+    EXPECT_EQ(sched.CleanRunnableTickets(), std::optional<uint64_t>(total));
+    // Three such threads are still past the draw's range: no pick.
+    EXPECT_THROW(sched.PickNext(kT0), std::out_of_range);
+    EXPECT_EQ(sched.num_lotteries(), 0u);
+  }
+}
+
+// The same limit on a queued thread's re-pushed weight: inflating one
+// past the 64-bit total makes every sync throw, leaves the stale weight
+// and its dirty entry in place, and never picks.
+TEST(LotteryScheduler, SyncRejectsTotalPast64Bits) {
+  for (const RunQueueBackend backend :
+       {RunQueueBackend::kList, RunQueueBackend::kTree,
+        RunQueueBackend::kAlias}) {
+    SCOPED_TRACE("backend " + std::to_string(static_cast<int>(backend)));
+    obs::Registry metrics;
+    LotteryScheduler::Options opts;
+    opts.backend = backend;
+    opts.metrics = &metrics;
+    LotteryScheduler sched(opts);
+    for (ThreadId id = 1; id <= 4; ++id) {
+      sched.AddThread(id, kT0);
+      sched.FundThread(id, sched.table().base(),
+                       id == 4 ? 1 : 5'000'000'000'000);
+      sched.OnReady(id, kT0);
+    }
+    const uint64_t total = sched.RunnableTickets();
+    sched.FundThread(4, sched.table().base(), 5'000'000'000'000);
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_THROW(sched.PickNext(kT0), std::overflow_error);
+      EXPECT_THROW(sched.RunnableTickets(), std::overflow_error);
+    }
+    EXPECT_EQ(sched.num_lotteries(), 0u);
+    EXPECT_EQ(sched.QueuedCount(), 4u);
+    EXPECT_TRUE(sched.IsQueued(4));
+    EXPECT_EQ(sched.CleanRunnableTickets(), std::nullopt);
+    // Withdrawing the inflation lets the next sync through, at the old
+    // total.
+    sched.table().DestroyTicket(sched.table().base()->issued().back());
+    EXPECT_EQ(sched.RunnableTickets(), total);
   }
 }
 
