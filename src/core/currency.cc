@@ -1,8 +1,10 @@
 #include "src/core/currency.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "src/core/client.h"
 #include "src/core/invariants.h"
@@ -19,6 +21,28 @@ void EraseOne(std::vector<Ticket*>& vec, Ticket* value) {
   if (it != vec.end()) {
     *it = vec.back();
     vec.pop_back();
+  }
+}
+
+// Largest base-currency amount Funding::FromBase can represent.
+constexpr int64_t kMaxBaseAmount =
+    std::numeric_limits<int64_t>::max() >> Funding::kFractionalBits;
+
+// Rejects a ticket amount the table cannot represent before anything
+// changes: a base-denominated ticket is worth `amount` << kFractionalBits
+// raw units, and `delta` is what the caller would add to the
+// denomination's issued amount.
+void CheckRepresentable(const char* op, const Currency* denomination,
+                        int64_t amount, int64_t delta) {
+  if (denomination->is_base() && amount > kMaxBaseAmount) {
+    throw std::out_of_range(std::string(op) + ": base amount " +
+                            std::to_string(amount) + " exceeds " +
+                            std::to_string(kMaxBaseAmount));
+  }
+  int64_t issued = 0;
+  if (__builtin_add_overflow(denomination->issued_amount(), delta, &issued)) {
+    throw std::overflow_error(std::string(op) + ": issued amount of " +
+                              denomination->name() + " would pass int64");
   }
 }
 
@@ -275,6 +299,7 @@ Ticket* CurrencyTable::CreateTicket(Currency* denomination, int64_t amount,
   if (amount <= 0) {
     throw std::invalid_argument("CreateTicket: amount must be positive");
   }
+  CheckRepresentable("CreateTicket", denomination, amount, amount);
   if (denomination->retired_) {
     throw std::logic_error("CreateTicket: denomination " +
                            denomination->name() + " is retired");
@@ -325,6 +350,7 @@ void CurrencyTable::SetAmount(Ticket* ticket, int64_t amount) {
     return;
   }
   const int64_t delta = amount - ticket->amount_;
+  CheckRepresentable("SetAmount", ticket->denomination_, amount, delta);
   ticket->denomination_->issued_amount_ += delta;
   ticket->amount_ = amount;
   if (ticket->active_) {

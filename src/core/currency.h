@@ -198,7 +198,10 @@ class CurrencyTable {
   // Issues a ticket of `amount` (> 0) denominated in `denomination`.
   // If `principal` is given, the denomination's ACL is checked; the
   // superuser (default "root", matching the paper's setuid commands)
-  // always passes.
+  // always passes. Throws std::out_of_range for a base-currency amount
+  // past INT64_MAX >> Funding::kFractionalBits (Funding::FromBase cannot
+  // represent it) and std::overflow_error if the denomination's issued
+  // amount would pass int64; either way the table is left unchanged.
   Ticket* CreateTicket(Currency* denomination, int64_t amount,
                        const std::string& principal = "");
 
@@ -208,6 +211,7 @@ class CurrencyTable {
   // Destroys a ticket, detaching it from any currency or client first.
   void DestroyTicket(Ticket* ticket);
   // Changes a ticket's amount (ticket inflation/deflation, Section 3.2).
+  // Rejects unrepresentable amounts as CreateTicket does.
   void SetAmount(Ticket* ticket, int64_t amount);
 
   // --- Funding edges ------------------------------------------------------

@@ -163,11 +163,9 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   const AliasLottery& alias_queue() const NO_THREAD_SAFETY_ANALYSIS {
     return alias_queue_;
   }
-  // The registry this scheduler's obs hooks write into.
-  obs::Registry& metrics() { return *metrics_; }
   // Counts one ticket transfer against this scheduler (lottery.transfers).
-  // Called by the kernel services (mutex, rwlock, semaphore, RPC) at each
-  // TicketTransfer they create on behalf of a blocking thread.
+  // Called by the kernel services (mutex, RPC) at each TicketTransfer they
+  // create on behalf of a blocking thread.
   void NoteTransfer() { transfers_->Inc(); }
 
  private:

@@ -145,7 +145,7 @@ class Kernel {
     // (bounded by one quantum) — see DESIGN.md.
     int num_cpus = 1;
     // Metric sink; nullptr selects obs::Registry::Default(). Kernel services
-    // (mutexes, locks, semaphores) inherit this registry via metrics().
+    // (mutexes, RPC ports) inherit this registry via metrics().
     obs::Registry* metrics = nullptr;
     // Fault injector consulted at dispatch and wake opportunities; kernel
     // services pick it up via faults(). nullptr (the default) disables

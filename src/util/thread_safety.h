@@ -8,8 +8,8 @@
 //
 //  1. The standard clang `-Wthread-safety` attribute macros (CAPABILITY,
 //     GUARDED_BY, REQUIRES, ACQUIRE/RELEASE, TRY_ACQUIRE, ...), expanding
-//     to nothing on compilers without the attributes. SimMutex/SimRwLock
-//     are annotated as capabilities so clang statically checks every
+//     to nothing on compilers without the attributes. SimMutex is
+//     annotated as a capability so clang statically checks every
 //     caller's acquire/release balance; lotlint rule L2 checks the
 //     annotations themselves stay present.
 //

@@ -77,6 +77,69 @@ TEST(CurrencyTable, RejectsNonPositiveAmounts) {
   EXPECT_THROW(table.SetAmount(t, 0), std::invalid_argument);
 }
 
+// A base ticket is worth amount << Funding::kFractionalBits raw units, so
+// the largest representable base amount is INT64_MAX >> 20 (~8.8e12).
+// Past it, SetAmount throws and leaves the ticket, its denomination and
+// the value it funds as they were.
+TEST(CurrencyTable, SetAmountRejectsUnrepresentableBaseAmount) {
+  constexpr int64_t kMaxBase =
+      std::numeric_limits<int64_t>::max() >> Funding::kFractionalBits;
+  CurrencyTable table;
+  Currency* alice = table.CreateCurrency("alice");
+  Ticket* backing = table.CreateTicket(table.base(), 100);
+  table.Fund(alice, backing);
+  Ticket* held = table.CreateTicket(alice, 10);
+  Client client(&table, "c");
+  client.HoldTicket(held);
+  client.SetActive(true);
+  ASSERT_EQ(client.Value().base_units(), 100);
+
+  EXPECT_THROW(table.SetAmount(backing, 10'000'000'000'000),
+               std::out_of_range);
+  EXPECT_THROW(table.SetAmount(backing, kMaxBase + 1), std::out_of_range);
+  EXPECT_EQ(backing->amount(), 100);
+  EXPECT_EQ(table.base()->issued_amount(), 100);
+  EXPECT_EQ(table.base()->active_amount(), 100);
+  EXPECT_EQ(table.num_tickets(), 2u);
+  EXPECT_EQ(client.Value().base_units(), 100);
+
+  table.SetAmount(backing, kMaxBase);
+  EXPECT_EQ(client.Value().base_units(), kMaxBase);
+}
+
+TEST(CurrencyTable, CreateTicketRejectsUnrepresentableBaseAmount) {
+  CurrencyTable table;
+  EXPECT_THROW(table.CreateTicket(table.base(), 10'000'000'000'000),
+               std::out_of_range);
+  EXPECT_EQ(table.num_tickets(), 0u);
+  EXPECT_EQ(table.base()->issued_amount(), 0);
+  // A non-base currency prices by shares, so any positive amount fits.
+  Currency* alice = table.CreateCurrency("alice");
+  EXPECT_EQ(table.CreateTicket(alice, 10'000'000'000'000)->amount(),
+            10'000'000'000'000);
+}
+
+// A denomination's issued amount is an int64 sum: an issue that would
+// overflow it throws std::overflow_error, through either entry, and
+// changes nothing.
+TEST(CurrencyTable, RejectsIssuedAmountPastInt64) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  CurrencyTable table;
+  Currency* alice = table.CreateCurrency("alice");
+  Ticket* big = table.CreateTicket(alice, kMax - 10);
+  Ticket* small = table.CreateTicket(alice, 5);
+  EXPECT_THROW(table.CreateTicket(alice, 6), std::overflow_error);
+  EXPECT_THROW(table.SetAmount(small, 16), std::overflow_error);
+  EXPECT_EQ(table.num_tickets(), 2u);
+  EXPECT_EQ(small->amount(), 5);
+  EXPECT_EQ(alice->issued_amount(), kMax - 5);
+  // Filling the sum exactly is allowed, and so is shrinking a ticket.
+  table.SetAmount(small, 10);
+  EXPECT_EQ(alice->issued_amount(), kMax);
+  table.SetAmount(big, 1);
+  EXPECT_EQ(alice->issued_amount(), 11);
+}
+
 TEST(CurrencyTable, FundAndUnfund) {
   CurrencyTable table;
   Currency* alice = table.CreateCurrency("alice");

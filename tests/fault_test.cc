@@ -1,7 +1,7 @@
 // Tests for the deterministic fault-injection subsystem: plan grammar,
 // injector trigger semantics, bit-identical reproduction through the chaos
 // scenario harness, and the service-level crash recovery paths (mutex
-// owner death, currency retirement).
+// owner and waiter death, RPC receive-waiter death, currency retirement).
 
 #include "src/sim/fault.h"
 
@@ -14,7 +14,9 @@
 #include "src/core/lottery_scheduler.h"
 #include "src/sim/chaos.h"
 #include "src/sim/kernel.h"
+#include "src/sim/rpc.h"
 #include "src/sim/sync.h"
+#include "src/workloads/query_server.h"
 
 namespace lottery {
 namespace {
@@ -352,6 +354,147 @@ TEST(MutexOwnerExit, VoluntaryExitWhileHoldingAlsoReleases) {
   EXPECT_TRUE(kernel.RunUntilQuiescent(SimDuration::Seconds(10)));
   EXPECT_TRUE(waiter->got_lock());
   EXPECT_EQ(mutex.owner(), kInvalidThreadId);
+}
+
+// --- Waiter death (the queued-corpse regression) ---------------------------
+
+// Acquires the free mutex on its first slice, holds it for `hold` of its own
+// CPU time across slices, then releases and exits.
+class HoldThenRelease : public ThreadBody {
+ public:
+  HoldThenRelease(SimMutex* mutex, SimDuration hold)
+      : mutex_(mutex), left_(hold) {}
+  // Holds across slices; the cross-slice session is not statically
+  // analyzable.
+  NO_THREAD_SAFETY_ANALYSIS void Run(RunContext& ctx) override {
+    if (!holding_) {
+      ASSERT_TRUE(mutex_->Acquire(ctx));
+      holding_ = true;
+    }
+    left_ -= ctx.Consume(left_);
+    if (left_.nanos() > 0) {
+      return;  // preempted, still holding
+    }
+    mutex_->Release(ctx);
+    ctx.ExitThread();
+  }
+
+ private:
+  SimMutex* mutex_;
+  SimDuration left_;
+  bool holding_ = false;
+};
+
+TEST(MutexWaiterExit, CrashedWaiterIsNeverGrantedAndReleaseStaysClean) {
+  LotteryScheduler::Options sopts;
+  sopts.seed = 23;
+  LotteryScheduler scheduler(sopts);
+  // One-shot crash at the first unprotected slice end: the victim's, as it
+  // blocks on the held mutex with its transfer funding the lock currency.
+  FaultInjector injector(FaultPlan::Parse("crash:at=0"), 23);
+  Kernel::Options kopts;
+  kopts.quantum = SimDuration::Millis(100);
+  kopts.faults = &injector;
+  Kernel kernel(&scheduler, kopts);
+  SimMutex mutex(&kernel, "m");
+  CurrencyTable& table = scheduler.table();
+
+  const ThreadId holder = kernel.Spawn(
+      "holder",
+      std::make_unique<HoldThenRelease>(&mutex, SimDuration::Seconds(1)));
+  injector.Protect(holder);
+  scheduler.FundThread(holder, table.base(), 100);
+  kernel.RunFor(SimDuration::Millis(1));
+  ASSERT_EQ(mutex.owner(), holder);
+
+  auto victim_body = std::make_unique<WaitThenRelease>(&mutex);
+  auto survivor_body = std::make_unique<WaitThenRelease>(&mutex);
+  WaitThenRelease* victim = victim_body.get();
+  WaitThenRelease* survivor = survivor_body.get();
+  const ThreadId victim_tid = kernel.Spawn("victim", std::move(victim_body));
+  const ThreadId survivor_tid =
+      kernel.Spawn("survivor", std::move(survivor_body));
+  injector.Protect(survivor_tid);
+  scheduler.FundThread(victim_tid, table.base(), 300);
+  scheduler.FundThread(survivor_tid, table.base(), 300);
+
+  kernel.RunFor(SimDuration::Millis(500));
+  ASSERT_EQ(injector.injections(FaultClass::kThreadCrash), 1u);
+  EXPECT_FALSE(kernel.Alive(victim_tid));
+  // The dead waiter is purged at once; only the survivor's transfer still
+  // backs the lock currency.
+  EXPECT_EQ(mutex.owner(), holder);
+  EXPECT_EQ(mutex.num_waiters(), 1u);
+  const Currency* lock_currency = table.FindCurrency("mutex:m");
+  ASSERT_NE(lock_currency, nullptr);
+  EXPECT_EQ(lock_currency->backing().size(), 1u);
+  EXPECT_EQ(table.FindCurrency("thread:" + std::to_string(victim_tid)),
+            nullptr);
+
+  // The holder's Release and the survivor's after it never reach the
+  // corpse: no throw, and no funding is left in the lock currency.
+  EXPECT_TRUE(kernel.RunUntilQuiescent(SimDuration::Seconds(10)));
+  EXPECT_FALSE(victim->got_lock());
+  EXPECT_TRUE(survivor->got_lock());
+  EXPECT_EQ(mutex.acquisitions(), 2u);
+  EXPECT_EQ(mutex.owner(), kInvalidThreadId);
+  EXPECT_EQ(mutex.num_waiters(), 0u);
+  EXPECT_TRUE(lock_currency->backing().empty());
+}
+
+TEST(RpcWaiterExit, CrashedReceiverIsPurgedAndNextCallParksOnThePort) {
+  LotteryScheduler::Options sopts;
+  sopts.seed = 29;
+  LotteryScheduler scheduler(sopts);
+  // One-shot crash at the first unprotected slice end: the receiver's, as
+  // it blocks in TryReceive on the empty port.
+  FaultInjector injector(FaultPlan::Parse("crash:at=0"), 29);
+  Kernel::Options kopts;
+  kopts.quantum = SimDuration::Millis(100);
+  kopts.faults = &injector;
+  Kernel kernel(&scheduler, kopts);
+  RpcPort port(&kernel, "svc");
+  CurrencyTable& table = scheduler.table();
+
+  const ThreadId receiver =
+      kernel.Spawn("receiver", std::make_unique<QueryWorker>(&port));
+  scheduler.FundThread(receiver, table.base(), 100);
+  port.RegisterServer(receiver);
+  kernel.RunFor(SimDuration::Millis(100));
+  ASSERT_EQ(injector.injections(FaultClass::kThreadCrash), 1u);
+  EXPECT_FALSE(kernel.Alive(receiver));
+  EXPECT_EQ(port.waiting_servers(), 0u);
+
+  // A call with no live receiver parks its transfer on the port currency
+  // instead of funding and waking the dead thread.
+  QueryClient::Options copts;
+  copts.num_queries = 1;
+  copts.query_cost = SimDuration::Millis(50);
+  auto client_body = std::make_unique<QueryClient>(&port, copts);
+  QueryClient* client = client_body.get();
+  const ThreadId client_tid = kernel.Spawn("client", std::move(client_body));
+  injector.Protect(client_tid);
+  scheduler.FundThread(client_tid, table.base(), 300);
+  kernel.RunFor(SimDuration::Millis(500));
+  EXPECT_EQ(port.total_calls(), 1u);
+  EXPECT_EQ(port.pending_requests(), 1u);
+  const Currency* port_currency = table.FindCurrency("port:svc");
+  ASSERT_NE(port_currency, nullptr);
+  EXPECT_EQ(port_currency->backing().size(), 1u);
+  EXPECT_TRUE(kernel.Alive(client_tid));
+  EXPECT_EQ(client->completed(), 0);
+
+  // A live server that registers later picks the parked call up.
+  auto worker_body = std::make_unique<QueryWorker>(&port);
+  QueryWorker* worker = worker_body.get();
+  const ThreadId worker_tid = kernel.Spawn("worker", std::move(worker_body));
+  injector.Protect(worker_tid);
+  port.RegisterServer(worker_tid);
+  kernel.RunFor(SimDuration::Seconds(2));
+  EXPECT_EQ(worker->served(), 1);
+  EXPECT_EQ(client->completed(), 1);
+  EXPECT_EQ(port.pending_requests(), 0u);
+  EXPECT_TRUE(port_currency->backing().empty());
 }
 
 // --- RetireCurrency ---------------------------------------------------------

@@ -328,6 +328,32 @@ TEST(LotteryScheduler, PickNextRejectsTotalPastDrawRange) {
   }
 }
 
+// A base amount Funding::FromBase cannot represent (past INT64_MAX >> 20,
+// ~8.8e12) is refused where it enters, not at the next draw: FundThread
+// throws and leaves the table and the thread's funding as they were.
+TEST(LotteryScheduler, FundThreadRejectsUnrepresentableBaseAmount) {
+  obs::Registry metrics;
+  LotteryScheduler::Options opts;
+  opts.metrics = &metrics;
+  LotteryScheduler sched(opts);
+  for (ThreadId id = 1; id <= 2; ++id) {
+    sched.AddThread(id, kT0);
+    sched.FundThread(id, sched.table().base(), 100);
+  }
+  const size_t tickets = sched.table().num_tickets();
+  EXPECT_THROW(sched.FundThread(1, sched.table().base(), 10'000'000'000'000),
+               std::out_of_range);
+  EXPECT_EQ(sched.table().num_tickets(), tickets);
+  EXPECT_EQ(sched.table().base()->issued_amount(), 200);
+  EXPECT_EQ(sched.thread_currency(1)->backing().size(), 1u);
+  for (ThreadId id = 1; id <= 2; ++id) {
+    sched.OnReady(id, kT0);
+  }
+  EXPECT_EQ(sched.ThreadValue(1).base_units(), 100);
+  EXPECT_EQ(sched.RunnableTickets(), 2 * Funding::FromBase(100).raw_unsigned());
+  EXPECT_NE(sched.PickNext(kT0), kInvalidThreadId);
+}
+
 // A queue total past 2^64 raw units is refused where it would arise: four
 // threads at 5e12 base tickets each (2^20 raw units per ticket) sum past
 // 2^64, so the fourth wake throws instead of wrapping the total, and no

@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "src/core/lottery_scheduler.h"
-#include "src/sched/hybrid.h"
 #include "src/sched/round_robin.h"
 #include "src/sched/smp/smp_scheduler.h"
 #include "src/sim/fault.h"
@@ -127,6 +126,35 @@ TEST(Smp, LotterySharesAggregateCapacity) {
   }
 }
 
+TEST(Smp, LotteryShareAboveOneCpuSaturatesAndSurplusFlows) {
+  // Thread 0's funding share (2 CPUs x 300/500 = 1.2 CPUs) exceeds what
+  // one thread can occupy: it saturates near a full CPU and the surplus
+  // flows to the equal-funded pair, which stays balanced.
+  LotteryScheduler::Options lopts;
+  lopts.seed = 17;
+  LotteryScheduler sched(lopts);
+  Kernel kernel(&sched, SmpOpts(2));
+  const int64_t funds[] = {300, 100, 100};
+  std::vector<ThreadId> tids;
+  for (int i = 0; i < 3; ++i) {
+    const ThreadId tid = kernel.Spawn("t" + std::to_string(i),
+                                      std::make_unique<ComputeTask>());
+    sched.FundThread(tid, sched.table().base(), funds[i]);
+    tids.push_back(tid);
+  }
+  kernel.RunFor(SimDuration::Seconds(120));
+  std::vector<double> cpu;
+  for (const ThreadId tid : tids) {
+    cpu.push_back(kernel.CpuTime(tid).ToSecondsF());
+  }
+  EXPECT_GT(cpu[0], 100.0);
+  EXPECT_LE(cpu[0], 120.1);  // one CPU, plus a slice past the horizon
+  // The pair gets more than its 2/5 of 240 s: the surplus reached it.
+  EXPECT_GT(cpu[1] + cpu[2], 96.0);
+  EXPECT_NEAR(cpu[1] / cpu[2], 1.0, 0.25);
+  EXPECT_NEAR(cpu[0] + cpu[1] + cpu[2], 240.0, 0.2);
+}
+
 TEST(Smp, MutexAcrossCpusNoLostWakeups) {
   // Heavy mutex contention on 2 CPUs exercises the pending_wake path (a
   // release on one CPU waking a thread whose blocking slice is still in
@@ -173,45 +201,34 @@ TEST(Smp, SleepWakeTimingUnaffectedByCpuCount) {
   EXPECT_NEAR(static_cast<double>(raw->interactions()), 100.0, 2.0);
 }
 
-TEST(Smp, HybridSchedulerOnTwoCpus) {
-  // The fixed-priority band and lottery world coexist across CPUs. Three
-  // compute threads on two CPUs keep the lottery side contended (with
-  // threads <= CPUs everyone runs in parallel and funding is moot). The
-  // driver's wakeups land while both CPUs are mid-slice, so its cycle
-  // stretches to roughly the dispatch granularity.
-  HybridScheduler sched;
+TEST(Smp, WakeupsOnBusyCpusWaitForASliceBoundary) {
+  // Three compute threads keep both CPUs busy, so every wakeup of the
+  // sleeper lands while both are mid-slice and waits for a slice boundary
+  // and its turn in the queue: its 50 ms cycle stretches past the 100 ms
+  // quantum.
+  RoundRobinScheduler sched;
   Kernel kernel(&sched, SmpOpts(2));
-  const ThreadId driver = kernel.Spawn(
-      "driver", std::make_unique<InteractiveTask>(SimDuration::Millis(5),
-                                                  SimDuration::Millis(45)));
-  sched.SetFixedPriority(driver, 9);
-  const int64_t funds[] = {300, 100, 100};
-  std::vector<ThreadId> tids;
+  auto body = std::make_unique<InteractiveTask>(SimDuration::Millis(5),
+                                                SimDuration::Millis(45));
+  InteractiveTask* sleeper = body.get();
+  std::vector<ThreadId> tids = {kernel.Spawn("sleeper", std::move(body))};
   for (int i = 0; i < 3; ++i) {
-    const ThreadId tid = kernel.Spawn("t" + std::to_string(i),
-                                      std::make_unique<ComputeTask>());
-    sched.lottery().FundThread(tid, sched.lottery().table().base(), funds[i]);
-    tids.push_back(tid);
+    tids.push_back(kernel.Spawn("t" + std::to_string(i),
+                                std::make_unique<ComputeTask>()));
   }
   kernel.RunFor(SimDuration::Seconds(120));
-  // Driver burst per cycle is 5 ms; cycles stretch toward ~100 ms because
-  // a wakeup must wait for a slice boundary: several seconds of CPU, far
-  // more than its lottery-funding-free status would earn it otherwise.
-  EXPECT_GT(kernel.CpuTime(driver).ToSecondsF(), 4.0);
-  EXPECT_LT(kernel.CpuTime(driver).ToSecondsF(), 13.0);
-  // Thread 0's funding share (2 x 300/500 = 1.2 CPUs) exceeds what one
-  // thread can occupy: it saturates near a full CPU and the surplus flows
-  // to the equal-funded pair, which stays balanced.
-  const double t0 = kernel.CpuTime(tids[0]).ToSecondsF();
-  const double t1 = kernel.CpuTime(tids[1]).ToSecondsF();
-  const double t2 = kernel.CpuTime(tids[2]).ToSecondsF();
-  EXPECT_GT(t0, 95.0);
-  EXPECT_LT(t0, 120.0);
-  EXPECT_NEAR(t1 / t2, 1.0, 0.25);
-  // Work conservation across both CPUs.
-  const double all = kernel.CpuTime(driver).ToSecondsF() + t0 + t1 + t2 +
-                     kernel.idle_time().ToSecondsF();
-  EXPECT_NEAR(all, 240.0, 0.5);
+  // Unstretched, 120 s would hold 2400 cycles; 800-1200 is a 100-150 ms
+  // cycle.
+  EXPECT_GT(sleeper->interactions(), 800);
+  EXPECT_LT(sleeper->interactions(), 1200);
+  // Work conservation: both CPUs stay busy throughout. Slices run
+  // atomically, so each CPU's last one may end past the horizon.
+  SimDuration total{};
+  for (const ThreadId tid : tids) {
+    total += kernel.CpuTime(tid);
+  }
+  EXPECT_EQ(kernel.idle_time().nanos(), 0);
+  EXPECT_NEAR(total.ToSecondsF(), 240.0, 0.2);
 }
 
 TEST(Smp, SingleCpuMatchesLegacyBehaviourExactly) {

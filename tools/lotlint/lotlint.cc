@@ -954,8 +954,7 @@ struct AcquireSite {
 };
 
 const std::set<std::string>& AcquireMethods() {
-  static const std::set<std::string> s = {"Acquire", "AcquireRead",
-                                          "AcquireWrite", "Wait", "Enter"};
+  static const std::set<std::string> s = {"Acquire", "Enter"};
   return s;
 }
 

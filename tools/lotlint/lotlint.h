@@ -61,9 +61,8 @@
 //                 Waiver: stream-ok.
 //
 //   L1-lock-order static lock-acquisition graph. Within each function the
-//                 analyzer records the ordered SimMutex/SimRwLock/
-//                 SimSemaphore/Seq acquisition sites (Acquire, AcquireRead,
-//                 AcquireWrite, Wait, SeqGuard, Enter), extends hold sets
+//                 analyzer records the ordered SimMutex/Seq acquisition
+//                 sites (Acquire, SeqGuard, Enter), extends hold sets
 //                 through the call graph, and flags any cycle in the
 //                 lock-order graph (a potential SMP deadlock once the
 //                 per-CPU rebalancer lands). Waiver: lock-order-ok.
